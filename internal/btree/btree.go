@@ -41,8 +41,7 @@ type Tree struct {
 	root     int64
 	height   int
 	count    int64
-	cache    *NodeCache // optional decoded-interior-node cache
-	scratch  []byte     // reusable page buffer for cached descents
+	scratch  []byte // page buffer for read-only descents (see descend)
 }
 
 // meta page layout: magic u32, root i64, height u32, count i64.
@@ -120,10 +119,15 @@ type node struct {
 //	leaf:     next i64, then nkeys × (klen u16, vlen u16, key, val)
 //	internal: lsn u64, child0 i64, then nkeys × (klen u16, key, child i64)
 //
-// Only interior pages carry an LSN (bumped on every write, validating
-// NodeCache entries): leaves are never cached, and keeping their header
-// unchanged preserves leaf capacity — the dominant term in file size.
+// Only interior pages carry an LSN, bumped on every write; no read path
+// uses it. It stays because dropping its 8 bytes would change the on-page
+// format, and with it interior fan-out, tree shape, and every simulated
+// result measured on this layout. Leaves never carried one.
 const nodeHeader = 1 + 2
+
+// interiorChild0 is the offset of an interior page's first child pointer,
+// after the header and the lsn.
+const interiorChild0 = nodeHeader + 8
 
 func (t *Tree) nodeSize(n *node) int {
 	size := nodeHeader + 8 // next i64 (leaf) or child0 i64 (internal)
@@ -276,17 +280,63 @@ func childIndex(keys [][]byte, key []byte) int {
 	return lo
 }
 
-// Get returns the value stored under key.
-func (t *Tree) Get(key []byte) ([]byte, error) {
-	n, err := t.readNodeCached(t.root)
-	if err != nil {
-		return nil, err
+// interiorChild returns the child pointer of interior page b that covers
+// key, scanning the packed entries in place. Separators are variable-length,
+// so the scan is linear; it stops at the first separator greater than key,
+// which is exactly the child childIndex picks.
+//
+//simlint:noalloc
+func interiorChild(b, key []byte) int64 {
+	le := binary.LittleEndian
+	nkeys := int(le.Uint16(b[1:]))
+	off := interiorChild0
+	child := int64(le.Uint64(b[off:]))
+	off += 8
+	for i := 0; i < nkeys; i++ {
+		klen := int(le.Uint16(b[off:]))
+		off += 2
+		if bytes.Compare(key, b[off:off+klen]) < 0 {
+			break
+		}
+		off += klen
+		child = int64(le.Uint64(b[off:]))
+		off += 8
 	}
-	for !n.leaf {
-		n, err = t.readNodeCached(n.children[childIndex(n.keys, key)])
-		if err != nil {
+	return child
+}
+
+// descend walks from the root to the leaf covering key (the leftmost leaf
+// when leftmost is set) for a read-only operation. Each interior page is
+// read into the tree's scratch buffer and searched in place; only the leaf
+// is decoded. The leaf's entries alias the buffer it was read into, so the
+// leaf takes that buffer and the next descent allocates a fresh one.
+func (t *Tree) descend(key []byte, leftmost bool) (*node, error) {
+	pageNo := t.root
+	for {
+		if t.scratch == nil {
+			t.scratch = make([]byte, t.pageSize)
+		}
+		b := t.scratch
+		if err := t.st.ReadPage(pageNo, b); err != nil {
 			return nil, err
 		}
+		if b[0] != pgInternal {
+			t.scratch = nil
+			return decodeNode(pageNo, b)
+		}
+		if leftmost {
+			pageNo = int64(binary.LittleEndian.Uint64(b[interiorChild0:]))
+		} else {
+			pageNo = interiorChild(b, key)
+		}
+	}
+}
+
+// Get returns the value stored under key.
+func (t *Tree) Get(key []byte) ([]byte, error) {
+	n, err := t.descend(key, false)
+	if err != nil {
+		return nil, err
 	}
 	i, eq := search(n.keys, key)
 	if !eq {
@@ -524,19 +574,7 @@ func (t *Tree) unlinkLeaf(pageNo int64) error {
 	return nil
 }
 
-func (t *Tree) leftmostLeaf() (*node, error) {
-	n, err := t.readNodeCached(t.root)
-	if err != nil {
-		return nil, err
-	}
-	for !n.leaf {
-		n, err = t.readNodeCached(n.children[0])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
-}
+func (t *Tree) leftmostLeaf() (*node, error) { return t.descend(nil, true) }
 
 // Cursor iterates leaf entries in key order.
 type Cursor struct {
@@ -548,15 +586,9 @@ type Cursor struct {
 
 // Seek positions a cursor at the first key ≥ key.
 func (t *Tree) Seek(key []byte) (*Cursor, error) {
-	n, err := t.readNodeCached(t.root)
+	n, err := t.descend(key, false)
 	if err != nil {
 		return nil, err
-	}
-	for !n.leaf {
-		n, err = t.readNodeCached(n.children[childIndex(n.keys, key)])
-		if err != nil {
-			return nil, err
-		}
 	}
 	i, _ := search(n.keys, key)
 	c := &Cursor{t: t, n: n, idx: i - 1}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -487,5 +488,178 @@ func TestBulkLoadMatchesIncremental(t *testing.T) {
 		if !bytes.Equal(ca.Key(), cb.Key()) || !bytes.Equal(ca.Value(), cb.Value()) {
 			t.Fatalf("divergence at %v vs %v", ca.Key(), cb.Key())
 		}
+	}
+}
+
+// varKey is a variable-length key: a 1–12 byte prefix of i's decimal digits
+// padded with a length-dependent tail, so separators differ in length and
+// neighbours share prefixes.
+func varKey(i int) []byte {
+	s := fmt.Sprintf("%d", i)
+	return []byte(s + strings.Repeat("~", i%7))
+}
+
+// varTree loads n variable-length keys in a scrambled order.
+func varTree(t *testing.T, n int) *Tree {
+	t.Helper()
+	tr := newTree(t)
+	for i := 0; i < n; i++ {
+		j := i * 7919 % n
+		if err := tr.Put(varKey(j), key(j)); err != nil {
+			t.Fatalf("Put(%q): %v", varKey(j), err)
+		}
+	}
+	if tr.Height() < 3 {
+		t.Fatalf("height = %d, want >= 3", tr.Height())
+	}
+	return tr
+}
+
+// TestVariableLengthKeysMultiLevel drives Get and Seek through interior
+// pages whose separators have different lengths.
+func TestVariableLengthKeysMultiLevel(t *testing.T) {
+	const n = 1500
+	tr := varTree(t, n)
+	sorted := make([]string, n)
+	for i := range sorted {
+		sorted[i] = string(varKey(i))
+		v, err := tr.Get(varKey(i))
+		if err != nil || !bytes.Equal(v, key(i)) {
+			t.Fatalf("Get(%q) = %x, %v", varKey(i), v, err)
+		}
+	}
+	sort.Strings(sorted)
+	// Probe absent keys between and around the stored ones: Seek must land
+	// on the first stored key not below the probe.
+	for _, probe := range []string{"", "0", "1", "10~", "5!", "749~~~~~", "9999", "\xff"} {
+		c, err := tr.Seek([]byte(probe))
+		if err != nil {
+			t.Fatal(err)
+		}
+		i := sort.SearchStrings(sorted, probe)
+		if i == len(sorted) {
+			if c.Next() {
+				t.Fatalf("Seek(%q) → %q, want end", probe, c.Key())
+			}
+			continue
+		}
+		if !c.Next() || string(c.Key()) != sorted[i] {
+			t.Fatalf("Seek(%q) landed wrong, want %q", probe, sorted[i])
+		}
+	}
+}
+
+// TestInteriorChildMatchesChildIndex checks the in-place interior search
+// against the decoded binary search on every interior page of a tree with
+// variable-length separators.
+func TestInteriorChildMatchesChildIndex(t *testing.T) {
+	tr := varTree(t, 1500)
+	b := make([]byte, tr.pageSize)
+	var walk func(pageNo int64)
+	walk = func(pageNo int64) {
+		if err := tr.st.ReadPage(pageNo, b); err != nil {
+			t.Fatal(err)
+		}
+		n, err := decodeNode(pageNo, append([]byte(nil), b...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.leaf {
+			return
+		}
+		probes := [][]byte{nil, {}, []byte("\xff\xff")}
+		for _, k := range n.keys {
+			probes = append(probes, k, append(append([]byte(nil), k...), 0), k[:len(k)-1])
+		}
+		for _, p := range probes {
+			if got, want := interiorChild(b, p), n.children[childIndex(n.keys, p)]; got != want {
+				t.Fatalf("page %d key %q: interiorChild = %d, childIndex picks %d", pageNo, p, got, want)
+			}
+		}
+		for _, ch := range n.children {
+			walk(ch)
+		}
+	}
+	walk(tr.root)
+}
+
+// TestDescentAllocs: read-only descents search interior pages in place, so
+// Get and Seek on a 3-level tree allocate no more than on a single leaf.
+func TestDescentAllocs(t *testing.T) {
+	small := newTree(t)
+	for i := 0; i < 8; i++ {
+		if err := small.Put(key(i), key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deep := newTree(t)
+	for i := 0; i < 2000; i++ {
+		if err := deep.Put(key(i*7919%2000), key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if small.Height() != 1 || deep.Height() < 3 {
+		t.Fatalf("heights %d and %d, want 1 and >= 3", small.Height(), deep.Height())
+	}
+	for _, op := range []struct {
+		name string
+		run  func(*Tree) error
+	}{
+		{"Get", func(tr *Tree) error { _, err := tr.Get(key(5)); return err }},
+		{"Seek", func(tr *Tree) error { _, err := tr.Seek(key(5)); return err }},
+	} {
+		allocs := func(tr *Tree) float64 {
+			return testing.AllocsPerRun(100, func() {
+				if err := op.run(tr); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if flat, tall := allocs(small), allocs(deep); tall > flat {
+			t.Errorf("%s allocates %.1f/op on a %d-level tree, %.1f/op on one leaf", op.name, tall, deep.Height(), flat)
+		}
+	}
+}
+
+// TestInteriorLSNMonotonic verifies writeNode bumps the on-page LSN of
+// interior pages (the field is kept for the page format; see nodeHeader).
+func TestInteriorLSNMonotonic(t *testing.T) {
+	st := pagestore.NewMemStore(512)
+	tr, err := Create(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	for i := 0; i < n; i++ {
+		if err := tr.Put(key(i), key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() < 2 {
+		t.Fatalf("height = %d", tr.Height())
+	}
+	root, err := tr.readNode(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.leaf {
+		t.Fatal("root unexpectedly a leaf")
+	}
+	before := root.lsn
+	if before == 0 {
+		t.Fatal("interior root has zero LSN")
+	}
+	// Force more splits; the root must be rewritten with a higher LSN.
+	for i := n; i < 4*n; i++ {
+		if err := tr.Put(key(i), key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root2, err := tr.readNode(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !root2.leaf && root2.pageNo == root.pageNo && root2.lsn <= before {
+		t.Fatalf("root LSN did not advance: %d -> %d", before, root2.lsn)
 	}
 }

@@ -201,15 +201,12 @@ func buildRig(opts Options) (*tpcb.Rig, error) {
 	})
 }
 
-// checkpointRig runs the harness checkpoint appropriate for the system. A
-// partitioned rig drains through the sharded two-phase path (force every
-// log, then checkpoint every shard).
+// checkpointRig runs the harness checkpoint appropriate for the system: the
+// user-level system drains (force every shard's log, then checkpoint every
+// shard), the embedded system syncs its LFS.
 func checkpointRig(rig *tpcb.Rig) error {
 	if rig.Shards != nil {
 		return rig.Sys.Drain()
-	}
-	if rig.Env != nil {
-		return rig.Env.Checkpoint()
 	}
 	return rig.LFS.Sync()
 }
@@ -217,21 +214,22 @@ func checkpointRig(rig *tpcb.Rig) error {
 // lfsEvents snapshots the LFS counters whose changes mark a span as dense
 // (auto-checkpoints and cleaner passes).
 func lfsEvents(rig *tpcb.Rig) int64 {
-	if rig.Shards != nil {
-		var n int64
-		for _, env := range rig.Shards {
-			if lf, ok := env.FS().(*lfs.FS); ok {
-				st := lf.Stats()
-				n += st.Checkpoints + st.Cleaner.Runs
-			}
+	count := func(fsys vfs.FileSystem) int64 {
+		lf, ok := fsys.(*lfs.FS)
+		if !ok {
+			return 0
 		}
-		return n
+		st := lf.Stats()
+		return st.Checkpoints + st.Cleaner.Runs
 	}
-	if rig.LFS == nil {
-		return 0
+	if rig.Shards == nil {
+		return count(rig.FS)
 	}
-	st := rig.LFS.Stats()
-	return st.Checkpoints + st.Cleaner.Runs
+	var n int64
+	for _, env := range rig.Shards {
+		n += count(env.FS())
+	}
+	return n
 }
 
 // walEvents snapshots the WAL counters whose changes mark a span as dense:
@@ -239,21 +237,12 @@ func lfsEvents(rig *tpcb.Rig) int64 {
 // records. Crashing on every op of such spans covers torn blocks at segment
 // tails, half-written index files, and interrupted truncations.
 func walEvents(rig *tpcb.Rig) int64 {
-	sum := func(env *libtp.Env) int64 {
+	var n int64
+	for _, env := range rig.Shards {
 		st := env.LogStats()
-		return st.Rotations + st.SegmentsSealed + st.SegmentsDeleted + st.SegmentsArchived + st.Checkpoints
+		n += st.Rotations + st.SegmentsSealed + st.SegmentsDeleted + st.SegmentsArchived + st.Checkpoints
 	}
-	if rig.Shards != nil {
-		var n int64
-		for _, env := range rig.Shards {
-			n += sum(env)
-		}
-		return n
-	}
-	if rig.Env == nil {
-		return 0
-	}
-	return sum(rig.Env)
+	return n
 }
 
 // snapshotProber drives Options.Snapshots: a read-only MVCC snapshot opened
@@ -275,7 +264,7 @@ type snapshotProber struct {
 }
 
 func newSnapshotProber(opts Options, rig *tpcb.Rig) (*snapshotProber, error) {
-	if opts.Snapshots <= 0 || rig.Shards != nil {
+	if opts.Snapshots <= 0 || len(rig.Shards) > 1 {
 		return nil, nil
 	}
 	p := &snapshotProber{every: opts.Snapshots}
@@ -520,72 +509,43 @@ func replayTo(opts Options, n int64) (*tpcb.Rig, []tpcb.Txn, *tpcb.Txn, string, 
 	return rig, committed, nil, "post-drain", nil
 }
 
-// recoverAndVerify reboots the crashed device, runs the system's recovery
+// recoverAndVerify reboots the crashed devices, runs the system's recovery
 // path, and checks every invariant. It returns the simulated recovery time
-// and, for the user-level systems, the WAL recovery's scan statistics.
+// and, for the user-level system, the WAL recovery's scan statistics.
 func recoverAndVerify(opts Options, rig *tpcb.Rig, committed []tpcb.Txn, inFlight *tpcb.Txn) (time.Duration, wal.ScanStats, error) {
 	rig.Crash.ClearCrash()
 	start := rig.Clock.Now()
-	libtpOpts := libtp.Options{LogSegmentBytes: opts.LogSegmentBytes}
-	var scan wal.ScanStats
 	if rig.Shards != nil {
-		return recoverSharded(opts, rig, libtpOpts, start, committed, inFlight)
+		return recoverUser(opts, rig, start, committed, inFlight)
 	}
-	var fsys vfs.FileSystem
-	switch opts.System {
-	case "kernel-lfs", "user-lfs":
-		fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-		if err != nil {
-			return 0, scan, fmt.Errorf("mount: %w", err)
-		}
-		if opts.System == "user-lfs" {
-			_, walRep, err := libtp.RecoverPaths(fs2, rig.Clock, libtpOpts, tpcb.DBPaths())
-			if err != nil {
-				return 0, scan, fmt.Errorf("wal recovery: %w", err)
-			}
-			scan = walRep.Scan
-		}
-		rep, err := fs2.Fsck()
-		if err != nil {
-			return 0, scan, fmt.Errorf("fsck: %w", err)
-		}
-		if !rep.OK() {
-			return 0, scan, fmt.Errorf("fsck: inconsistent state: %+v", rep)
-		}
-		fsys = fs2
-	case "user-ffs":
-		fs2, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
-		if err != nil {
-			return 0, scan, fmt.Errorf("mount: %w", err)
-		}
-		// The bitmap rebuild MUST precede WAL replay: replay may extend
-		// files, and allocating from the stale bitmap could clobber
-		// durable blocks the inode table owns.
-		if _, err := fs2.Fsck(); err != nil {
-			return 0, scan, fmt.Errorf("fsck: %w", err)
-		}
-		_, walRep, err := libtp.RecoverPaths(fs2, rig.Clock, libtpOpts, tpcb.DBPaths())
-		if err != nil {
-			return 0, scan, fmt.Errorf("wal recovery: %w", err)
-		}
-		scan = walRep.Scan
-		fsys = fs2
+	// kernel-lfs: LFS recovery is the whole story.
+	var scan wal.ScanStats
+	fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
+	if err != nil {
+		return 0, scan, fmt.Errorf("mount: %w", err)
+	}
+	rep, err := fs2.Fsck()
+	if err != nil {
+		return 0, scan, fmt.Errorf("fsck: %w", err)
+	}
+	if !rep.OK() {
+		return 0, scan, fmt.Errorf("fsck: inconsistent state: %+v", rep)
 	}
 	elapsed := rig.Clock.Now() - start
-	if err := tpcb.VerifyState(fsys, committed, inFlight); err != nil {
-		return elapsed, scan, err
-	}
-	return elapsed, scan, nil
+	return elapsed, scan, tpcb.VerifyState(fs2, committed, inFlight)
 }
 
-// recoverSharded reboots every device of a crashed partitioned rig, resolves
-// in-doubt two-phase-commit branches from the union of durable decision
-// records, and verifies the cross-shard invariants: a transfer must be
-// everywhere or nowhere, never half of each.
-func recoverSharded(opts Options, rig *tpcb.Rig, libtpOpts libtp.Options, start time.Duration, committed []tpcb.Txn, inFlight *tpcb.Txn) (time.Duration, wal.ScanStats, error) {
+// recoverUser remounts every shard's file system — the rig's one device
+// (a single disk or a striped array) or each device of a partitioned rig —
+// replays the shards' logs together, resolving in-doubt two-phase-commit
+// branches from the union of durable decision records, and verifies the
+// TPC-B invariants across shards: a transfer must be everywhere or nowhere,
+// never half of each.
+func recoverUser(opts Options, rig *tpcb.Rig, start time.Duration, committed []tpcb.Txn, inFlight *tpcb.Txn) (time.Duration, wal.ScanStats, error) {
 	var scan wal.ScanStats
-	fss := make([]vfs.FileSystem, len(rig.Devs))
-	for i, dev := range rig.Devs {
+	devs := rig.ShardDevices()
+	fss := make([]vfs.FileSystem, len(devs))
+	for i, dev := range devs {
 		switch opts.System {
 		case "user-lfs":
 			fs2, err := lfs.Mount(dev, rig.Clock, lfs.Options{CacheBlocks: 256})
@@ -598,27 +558,28 @@ func recoverSharded(opts Options, rig *tpcb.Rig, libtpOpts libtp.Options, start 
 			if err != nil {
 				return 0, scan, fmt.Errorf("shard %d mount: %w", i, err)
 			}
-			// Bitmap rebuild before WAL replay, as on the single device.
+			// The bitmap rebuild MUST precede WAL replay: replay may
+			// extend files, and allocating from the stale bitmap could
+			// clobber durable blocks the inode table owns.
 			if _, err := fs2.Fsck(); err != nil {
 				return 0, scan, fmt.Errorf("shard %d fsck: %w", i, err)
 			}
 			fss[i] = fs2
-		default:
-			return 0, scan, fmt.Errorf("partitioned layout: unsupported system %q", opts.System)
 		}
 	}
+	libtpOpts := libtp.Options{LogSegmentBytes: opts.LogSegmentBytes}
 	_, reps, err := tpcb.RecoverSharded(fss, rig.Clock, libtpOpts, lock.NewManager())
 	if err != nil {
-		return 0, scan, fmt.Errorf("sharded recovery: %w", err)
+		return 0, scan, fmt.Errorf("wal recovery: %w", err)
 	}
 	for _, r := range reps {
 		scan.Segments += r.Scan.Segments
 		scan.Blocks += r.Scan.Blocks
 		scan.Records += r.Scan.Records
 	}
-	if opts.System == "user-lfs" {
-		for i, f := range fss {
-			rep, err := f.(*lfs.FS).Fsck()
+	for i, f := range fss {
+		if lf, ok := f.(*lfs.FS); ok {
+			rep, err := lf.Fsck()
 			if err != nil {
 				return 0, scan, fmt.Errorf("shard %d fsck: %w", i, err)
 			}
@@ -628,10 +589,7 @@ func recoverSharded(opts Options, rig *tpcb.Rig, libtpOpts libtp.Options, start 
 		}
 	}
 	elapsed := rig.Clock.Now() - start
-	if err := tpcb.VerifyShardedState(fss, rig.Part, committed, inFlight); err != nil {
-		return elapsed, scan, err
-	}
-	return elapsed, scan, nil
+	return elapsed, scan, tpcb.VerifyShardedState(fss, rig.Part, committed, inFlight)
 }
 
 // Run executes the sweep and returns its deterministic report.

@@ -144,8 +144,8 @@ func FigureDevices(opts Options, devices []int) (*FigureDevicesReport, error) {
 					cell.MaxDevQueue = q
 				}
 			}
-			if ss, ok := rig.Sys.(*tpcb.ShardedSystem); ok {
-				cell.Cross, cell.Single = ss.CrossShardTxns()
+			if us, ok := rig.Sys.(*tpcb.UserSystem); ok && len(rig.Shards) > 1 {
+				cell.Cross, cell.Single = us.CrossShardTxns()
 			}
 			series.Cells = append(series.Cells, cell)
 		}

@@ -1003,3 +1003,56 @@ func TestIOFaultsPropagate(t *testing.T) {
 	}
 	g.Close()
 }
+
+// TestMetaCostCountsDIndBehindDirtyChild pins the partial-segment estimate
+// for a file past the single-indirect range whose double-indirect child
+// pointer block is dirty while the double-indirect block itself is clean
+// (the state a commit force leaves, since it defers pointer blocks):
+// writing the child rewrites the double-indirect block too, so the
+// estimate must count both.
+func TestMetaCostCountsDIndBehindDirtyChild(t *testing.T) {
+	fs, _, _ := newFS(t)
+	f, err := fs.Create("/huge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := int64((NDirect + 512 + 100) * 4096)
+	if _, err := f.WriteAt(pattern(4096, 1), off); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// A commit force rewrites the data block and leaves its child pointer
+	// block dirty in memory behind a clean double-indirect block.
+	if _, err := f.WriteAt(pattern(4096, 2), off); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.FlushFile(f.ID()); err != nil {
+		t.Fatal(err)
+	}
+	ino := Ino(f.ID())
+	fs.mu.Lock()
+	in, err := fs.loadInode(ino)
+	if err != nil {
+		fs.mu.Unlock()
+		t.Fatal(err)
+	}
+	if in.dind == nil || in.dind.dirty || !fs.inodeMetaDirty(in) {
+		fs.mu.Unlock()
+		t.Fatalf("setup: want a clean double-indirect block behind a dirty child")
+	}
+	want, err := fs.partialCostLocked(map[Ino][]int64{ino: nil}, false)
+	fs.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := fs.Stats().BlocksLogged
+	if err := fs.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fs.Stats().BlocksLogged - before; got != int64(want) {
+		t.Fatalf("partial segment wrote %d blocks, estimate was %d", got, want)
+	}
+	f.Close()
+}

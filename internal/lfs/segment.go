@@ -271,6 +271,9 @@ func (fs *FS) metaCostLocked(in *inode, lbns []int64) int {
 			slots[slot] = true
 		}
 	}
+	// Writing a dirty child stores its new address in the double-indirect
+	// block, so that block is rewritten too.
+	needDind = needDind || len(slots) > 0
 	for _, lbn := range lbns {
 		switch {
 		case lbn < NDirect:

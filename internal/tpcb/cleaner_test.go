@@ -103,3 +103,20 @@ func TestIdleCleanerDeterministic(t *testing.T) {
 		t.Errorf("device stats differ across identical seeds:\n%+v\n%+v", dst1, dst2)
 	}
 }
+
+// TestPartialSegmentPointerBlocksFit is the regression test for an LFS
+// partial-segment estimate that left out the double-indirect block behind a
+// dirty child pointer block: on this run the history file grows past the
+// single-indirect range, a commit force leaves such a child dirty, and the
+// next full flush then overflowed its segment with an internal error.
+func TestPartialSegmentPointerBlocksFit(t *testing.T) {
+	cfg := ScaledConfig(0.02)
+	cfg.Seed = 1035
+	rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: 2000, GroupCommit: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rig.RunMPL(cfg, 2000, 64); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -4,9 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ffs"
 	"repro/internal/lfs"
-	"repro/internal/libtp"
 	"repro/internal/sim"
 )
 
@@ -59,96 +57,5 @@ func verifyState(t *testing.T, rig *Rig, committed []Txn) {
 	t.Helper()
 	if err := VerifyState(rig.FS, committed, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestUserCrashStorm does the same for the user-level system: crash at
-// transaction boundaries, remount, replay the WAL with RecoverPaths, and
-// check the invariants.
-func TestUserCrashStorm(t *testing.T) {
-	cfg := Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: 21}
-	rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: cfg, ExpectedTxns: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := rig.Sys.(*UserSystem)
-	gen := NewGenerator(cfg)
-	rng := sim.NewRNG(8)
-
-	var committed []Txn
-	for round := 0; round < 5; round++ {
-		burst := 20 + rng.Intn(30)
-		for i := 0; i < burst; i++ {
-			tx := gen.Next()
-			if err := sys.Run(tx); err != nil {
-				t.Fatalf("round %d txn %d: %v", round, i, err)
-			}
-			committed = append(committed, tx)
-		}
-		// CRASH + WAL recovery.
-		fs2, err := lfs.Mount(rig.Dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-		if err != nil {
-			t.Fatalf("round %d remount: %v", round, err)
-		}
-		env2, _, err := libtp.RecoverPaths(fs2, rig.Clock, libtp.Options{}, DBPaths())
-		if err != nil {
-			t.Fatalf("round %d recover: %v", round, err)
-		}
-		sys = NewUserSystem(env2, rig.Clock, sim.SpriteCosts())
-		if err := sys.Attach(); err != nil {
-			t.Fatalf("round %d attach: %v", round, err)
-		}
-		rig.FS = fs2
-		rig.Env = env2
-
-		verifyState(t, rig, committed)
-	}
-}
-
-// TestFFSUserCrashStorm completes the crash-storm coverage for the third
-// configuration: LIBTP on the read-optimized file system. Recovery here has
-// one extra leg the LFS systems don't need — ffs.Fsck must rebuild the
-// stale allocation bitmap from the inode table BEFORE the WAL replay, or
-// replay-driven allocations could clobber durable data.
-func TestFFSUserCrashStorm(t *testing.T) {
-	cfg := Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: 33}
-	rig, err := BuildRig(RigOptions{Kind: "user-ffs", Config: cfg, ExpectedTxns: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := rig.Sys.(*UserSystem)
-	gen := NewGenerator(cfg)
-	rng := sim.NewRNG(9)
-
-	var committed []Txn
-	for round := 0; round < 5; round++ {
-		burst := 20 + rng.Intn(30)
-		for i := 0; i < burst; i++ {
-			tx := gen.Next()
-			if err := sys.Run(tx); err != nil {
-				t.Fatalf("round %d txn %d: %v", round, i, err)
-			}
-			committed = append(committed, tx)
-		}
-		// CRASH: remount, fsck the bitmap, then WAL recovery.
-		fs2, err := ffs.Mount(rig.Dev, rig.Clock, ffs.Options{CacheBlocks: 256})
-		if err != nil {
-			t.Fatalf("round %d remount: %v", round, err)
-		}
-		if _, err := fs2.Fsck(); err != nil {
-			t.Fatalf("round %d fsck: %v", round, err)
-		}
-		env2, _, err := libtp.RecoverPaths(fs2, rig.Clock, libtp.Options{}, DBPaths())
-		if err != nil {
-			t.Fatalf("round %d recover: %v", round, err)
-		}
-		sys = NewUserSystem(env2, rig.Clock, sim.SpriteCosts())
-		if err := sys.Attach(); err != nil {
-			t.Fatalf("round %d attach: %v", round, err)
-		}
-		rig.FS = fs2
-		rig.Env = env2
-
-		verifyState(t, rig, committed)
 	}
 }

@@ -2,6 +2,7 @@ package tpcb
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/core"
@@ -94,10 +95,11 @@ type Rig struct {
 	FS    vfs.FileSystem
 	LFS   *lfs.FS // non-nil for single-FS LFS-based rigs
 	Sys   System
-	Env   *libtp.Env    // non-nil for single-FS user-level rigs
+	Env   *libtp.Env    // non-nil for single-FS user-level rigs (== Shards[0])
 	Core  *core.Manager // non-nil for the embedded rig
-	// Shards holds the per-device transaction environments of a
-	// partitioned rig (nil otherwise); Part maps ids to shards.
+	// Shards holds a user-level rig's transaction environments: one for a
+	// single file system, one per device of a partitioned rig (nil for the
+	// embedded rig). Part maps ids to shards.
 	Shards []*libtp.Env
 	Part   *Partitioner
 	// Idle is the between-transactions hook (non-nil when CleanerMode is
@@ -119,12 +121,23 @@ func (r *Rig) RunMPL(cfg Config, n, mpl int) (Result, error) {
 	return RunBenchmarkMPLTraced(r.Sys, r.Clock, cfg, n, mpl, r.Idle, r.Tracer)
 }
 
+// ShardDevices returns the device each of a user-level rig's shards keeps
+// its file system on, in shard order: the rig's one block space (a single
+// disk or a striped array) or each member of a partitioned array.
+func (r *Rig) ShardDevices() []disk.BlockDevice {
+	if r.Dev != nil {
+		return []disk.BlockDevice{r.Dev}
+	}
+	devs := make([]disk.BlockDevice, len(r.Devs))
+	for i, d := range r.Devs {
+		devs[i] = d
+	}
+	return devs
+}
+
 // LockStats returns the rig's lock-manager counters regardless of which
 // transaction system it carries.
 func (r *Rig) LockStats() lock.Stats {
-	if r.Env != nil {
-		return r.Env.LockStats()
-	}
 	if len(r.Shards) > 0 {
 		// All shards share one lock manager; any environment reports it.
 		return r.Shards[0].LockStats()
@@ -239,52 +252,36 @@ func BuildRig(opts RigOptions) (*Rig, error) {
 	}
 	dev := rig.Dev
 
-	switch opts.Kind {
-	case "user-ffs":
-		fsys, err := ffs.Format(dev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second})
-		if err != nil {
-			return nil, err
-		}
-		fsys.Pool().SetTracer(tr, "buffer.ffs")
-		rig.FS = fsys
-		env, err := libtp.NewEnv(fsys, clk, libtp.Options{CacheBlocks: cache, Costs: opts.Costs, GroupCommit: opts.GroupCommit, LogSegmentBytes: opts.LogSegmentBytes, LogRetain: opts.LogRetain, Tracer: tr})
-		if err != nil {
-			return nil, err
-		}
-		rig.Env = env
-		rig.Sys = NewUserSystem(env, clk, opts.Costs)
-	case "user-lfs":
-		fsys, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: cache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger})
-		if err != nil {
-			return nil, err
-		}
-		fsys.SetTracer(tr)
-		fsys.Pool().SetTracer(tr, "buffer.lfs")
-		rig.FS, rig.LFS = fsys, fsys
-		env, err := libtp.NewEnv(fsys, clk, libtp.Options{CacheBlocks: cache, Costs: opts.Costs, GroupCommit: opts.GroupCommit, LogSegmentBytes: opts.LogSegmentBytes, LogRetain: opts.LogRetain, Tracer: tr})
-		if err != nil {
-			return nil, err
-		}
-		rig.Env = env
-		rig.Sys = NewUserSystem(env, clk, opts.Costs)
-	case "kernel-lfs":
-		// The embedded system avoids double buffering: the user-level
-		// configurations split the same memory between a user pool and
-		// the kernel cache, so the kernel configuration gets the whole
-		// budget in one cache (§1: the user-level architecture's
-		// "functional redundancy").
-		fsys, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: 2 * cache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger})
-		if err != nil {
-			return nil, err
-		}
-		fsys.SetTracer(tr)
-		fsys.Pool().SetTracer(tr, "buffer.lfs")
-		rig.FS, rig.LFS = fsys, fsys
-		m := core.New(fsys, clk, core.Options{Costs: opts.Costs, GroupCommit: opts.GroupCommit, Tracer: tr})
+	// The embedded system avoids double buffering: the user-level
+	// configurations split the same memory between a user pool and the
+	// kernel cache, so the kernel configuration gets the whole budget in
+	// one cache (§1: the user-level architecture's "functional
+	// redundancy").
+	fsCache := cache
+	if opts.Kind == "kernel-lfs" {
+		fsCache = 2 * cache
+	}
+	fsys, err := formatFS(opts, dev, clk, tr, fsCache, "")
+	if err != nil {
+		return nil, err
+	}
+	rig.FS = fsys
+	rig.LFS, _ = fsys.(*lfs.FS)
+	if opts.Kind == "kernel-lfs" {
+		m := core.New(rig.LFS, clk, core.Options{Costs: opts.Costs, GroupCommit: opts.GroupCommit, Tracer: tr})
 		rig.Core = m
 		rig.Sys = NewEmbeddedSystem(m, clk, opts.Costs)
-	default:
-		return nil, fmt.Errorf("tpcb: unknown rig kind %q", opts.Kind)
+	} else {
+		env, err := libtp.NewEnv(fsys, clk, userEnvOptions(opts, cache, tr))
+		if err != nil {
+			return nil, err
+		}
+		part, err := NewPartitioner(opts.Config, 1)
+		if err != nil {
+			return nil, err
+		}
+		rig.Env, rig.Shards, rig.Part = env, []*libtp.Env{env}, part
+		rig.Sys = NewUserSystem(rig.Shards, part, clk, opts.Costs)
 	}
 	if err := rig.Sys.Load(opts.Config); err != nil {
 		return nil, fmt.Errorf("tpcb: load on %s: %w", opts.Kind, err)
@@ -326,6 +323,9 @@ func buildPartitionedRig(opts RigOptions, clk *sim.Clock, tr *trace.Tracer, mode
 	default:
 		return nil, fmt.Errorf("tpcb: cleaner mode %q is not supported on partitioned rigs", opts.CleanerMode)
 	}
+	if opts.Kind != "user-lfs" && opts.Kind != "user-ffs" {
+		return nil, fmt.Errorf("tpcb: layout \"partition\" needs a user-level rig kind, got %q", opts.Kind)
+	}
 	per := model
 	// Each shard carries ~1/N of the database and of the history growth,
 	// plus fixed per-file-system slack (superblock, checkpoint regions,
@@ -339,44 +339,20 @@ func buildPartitionedRig(opts RigOptions, clk *sim.Clock, tr *trace.Tracer, mode
 		dev := disk.New(per, clk)
 		dev.SetTracer(tr)
 		rig.Devs = append(rig.Devs, dev)
-		var fsys vfs.FileSystem
-		switch opts.Kind {
-		case "user-lfs":
-			lf, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: shardCache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger})
-			if err != nil {
-				return nil, err
-			}
-			lf.SetTracer(tr)
-			lf.Pool().SetTracer(tr, fmt.Sprintf("buffer.lfs%d", i))
-			fsys = lf
-		case "user-ffs":
-			ff, err := ffs.Format(dev, clk, ffs.Options{CacheBlocks: shardCache, SyncInterval: 30 * time.Second})
-			if err != nil {
-				return nil, err
-			}
-			ff.Pool().SetTracer(tr, fmt.Sprintf("buffer.ffs%d", i))
-			fsys = ff
-		default:
-			return nil, fmt.Errorf("tpcb: layout \"partition\" needs a user-level rig kind, got %q", opts.Kind)
-		}
-		env, err := libtp.NewEnv(fsys, clk, libtp.Options{
-			CacheBlocks:     shardCache,
-			Costs:           opts.Costs,
-			GroupCommit:     opts.GroupCommit,
-			LogSegmentBytes: opts.LogSegmentBytes,
-			LogRetain:       opts.LogRetain,
-			Tracer:          tr,
-			Locks:           locks,
-			LockSpace:       ShardLockSpace(i),
-		})
+		fsys, err := formatFS(opts, dev, clk, tr, shardCache, strconv.Itoa(i))
 		if err != nil {
 			return nil, err
 		}
-		envs[i] = env
+		eo := userEnvOptions(opts, shardCache, tr)
+		eo.Locks = locks
+		eo.LockSpace = ShardLockSpace(i)
+		if envs[i], err = libtp.NewEnv(fsys, clk, eo); err != nil {
+			return nil, err
+		}
 	}
 	rig.Crash = disk.NewCrashSet(rig.Devs...)
 	rig.Shards = envs
-	rig.Sys = NewShardedSystem(envs, part, clk, opts.Costs)
+	rig.Sys = NewUserSystem(envs, part, clk, opts.Costs)
 	if err := rig.Sys.Load(opts.Config); err != nil {
 		return nil, fmt.Errorf("tpcb: load on %s: %w", opts.Kind, err)
 	}
@@ -384,4 +360,40 @@ func buildPartitionedRig(opts RigOptions, clk *sim.Clock, tr *trace.Tracer, mode
 		d.ResetIdleCredit()
 	}
 	return rig, nil
+}
+
+// formatFS formats a file system of the rig's kind on dev with a cache of
+// the given size; suffix distinguishes per-shard buffer pools in traces.
+func formatFS(opts RigOptions, dev disk.BlockDevice, clk *sim.Clock, tr *trace.Tracer, cache int, suffix string) (vfs.FileSystem, error) {
+	switch opts.Kind {
+	case "user-ffs":
+		fsys, err := ffs.Format(dev, clk, ffs.Options{CacheBlocks: cache, SyncInterval: 30 * time.Second})
+		if err != nil {
+			return nil, err
+		}
+		fsys.Pool().SetTracer(tr, "buffer.ffs"+suffix)
+		return fsys, nil
+	case "user-lfs", "kernel-lfs":
+		fsys, err := lfs.Format(dev, clk, lfs.Options{CacheBlocks: cache, Policy: opts.Policy, CleanBatch: opts.CleanBatch, IdleCleanTrigger: opts.IdleCleanTrigger})
+		if err != nil {
+			return nil, err
+		}
+		fsys.SetTracer(tr)
+		fsys.Pool().SetTracer(tr, "buffer.lfs"+suffix)
+		return fsys, nil
+	}
+	return nil, fmt.Errorf("tpcb: unknown rig kind %q", opts.Kind)
+}
+
+// userEnvOptions is the transaction-environment configuration of a
+// user-level rig with a user pool of the given size.
+func userEnvOptions(opts RigOptions, cache int, tr *trace.Tracer) libtp.Options {
+	return libtp.Options{
+		CacheBlocks:     cache,
+		Costs:           opts.Costs,
+		GroupCommit:     opts.GroupCommit,
+		LogSegmentBytes: opts.LogSegmentBytes,
+		LogRetain:       opts.LogRetain,
+		Tracer:          tr,
+	}
 }

@@ -5,8 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/btree"
 	"repro/internal/core"
+	"repro/internal/libtp"
 	"repro/internal/lock"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -250,58 +250,58 @@ func (r *Rig) RunMixed(cfg Config, n, mpl, scanners, scansEach int, mode ScanMod
 // --- user-level scanners ---
 
 // userLockScanner scans under two-phase locking: a plain read-only
-// transaction whose read locks accumulate over every account page until the
-// scan commits (the pre-snapshot behavior a long reader imposes on
-// writers).
+// transaction per shard, taken in shard order, whose read locks accumulate
+// over every account page until the whole scan commits (the pre-snapshot
+// behavior a long reader imposes on writers).
 type userLockScanner struct {
 	s *UserSystem
 }
 
 func (sc *userLockScanner) Scan() (int64, error) {
-	txn := sc.s.env.Begin()
-	tr, err := btree.Open(txn.Store(sc.s.acc))
-	if err != nil {
-		txn.Abort()
-		return 0, err
-	}
-	c, err := tr.First()
-	if err != nil {
-		txn.Abort()
-		return 0, err
-	}
+	txns := make([]*libtp.Txn, 0, len(sc.s.shards))
 	var n int64
-	for c.Next() {
-		n++
+	for _, sh := range sc.s.shards {
+		txn := sh.env.Begin()
+		txns = append(txns, txn)
+		c, err := countAccounts(txn.Store(sh.acc))
+		if err != nil {
+			for _, tx := range txns {
+				tx.Abort()
+			}
+			return 0, err
+		}
+		n += c
 	}
-	if c.Err() != nil {
-		txn.Abort()
-		return 0, c.Err()
+	var err error
+	for _, tx := range txns {
+		if err != nil {
+			tx.Abort()
+			continue
+		}
+		err = tx.Commit()
 	}
-	return n, txn.Commit()
+	return n, err
 }
 
-// userSnapScanner scans through a pinned snapshot: zero lock-manager calls,
-// pages rewound to the commit horizon with WAL before-images.
+// userSnapScanner scans each shard through a pinned snapshot: zero
+// lock-manager calls, pages rewound to the shard's commit horizon with WAL
+// before-images.
 type userSnapScanner struct {
 	s *UserSystem
 }
 
 func (sc *userSnapScanner) Scan() (int64, error) {
-	snap := sc.s.env.BeginSnapshot()
-	defer snap.Close()
-	tr, err := btree.Open(snap.Store(sc.s.acc))
-	if err != nil {
-		return 0, err
-	}
-	c, err := tr.First()
-	if err != nil {
-		return 0, err
-	}
 	var n int64
-	for c.Next() {
-		n++
+	for _, sh := range sc.s.shards {
+		snap := sh.env.BeginSnapshot()
+		c, err := countAccounts(snap.Store(sh.acc))
+		snap.Close()
+		n += c
+		if err != nil {
+			return n, err
+		}
 	}
-	return n, c.Err()
+	return n, nil
 }
 
 // NewScanner implements ScanCapable. On FFS, snapshot scans degrade to
@@ -312,7 +312,7 @@ func (s *UserSystem) NewScanner(mode ScanMode) (Scanner, ScanMode, error) {
 	case ScanLocking:
 		return &userLockScanner{s: s}, ScanLocking, nil
 	case ScanSnapshot:
-		if s.env.FS().Name() != "lfs" {
+		if s.shards[0].env.FS().Name() != "lfs" {
 			return &userLockScanner{s: s}, ScanLocking, nil
 		}
 		return &userSnapScanner{s: s}, ScanSnapshot, nil
@@ -334,23 +334,10 @@ func (sc *kernelLockScanner) Scan() (int64, error) {
 	if err := sc.proc.TxnBegin(); err != nil {
 		return 0, err
 	}
-	tr, err := btree.Open(core.NewStore(sc.proc, sc.s.acc))
+	n, err := countAccounts(core.NewStore(sc.proc, sc.s.acc))
 	if err != nil {
 		sc.proc.TxnAbort()
 		return 0, err
-	}
-	c, err := tr.First()
-	if err != nil {
-		sc.proc.TxnAbort()
-		return 0, err
-	}
-	var n int64
-	for c.Next() {
-		n++
-	}
-	if c.Err() != nil {
-		sc.proc.TxnAbort()
-		return 0, c.Err()
 	}
 	return n, sc.proc.TxnCommit()
 }
@@ -365,19 +352,7 @@ type kernelSnapScanner struct {
 func (sc *kernelSnapScanner) Scan() (int64, error) {
 	snap := sc.s.m.BeginSnapshot()
 	defer snap.Close()
-	tr, err := btree.Open(snap.Store(sc.s.acc))
-	if err != nil {
-		return 0, err
-	}
-	c, err := tr.First()
-	if err != nil {
-		return 0, err
-	}
-	var n int64
-	for c.Next() {
-		n++
-	}
-	return n, c.Err()
+	return countAccounts(snap.Store(sc.s.acc))
 }
 
 // NewScanner implements ScanCapable.

@@ -1,7 +1,6 @@
 package tpcb
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/btree"
@@ -115,6 +114,8 @@ func loadShardRelations(fsys vfs.FileSystem, part *Partitioner, s int) error {
 			return err
 		}
 		defer f.Close()
+		// Bulk-build the primary index bottom-up from the sorted id
+		// stream, as a real database load utility would.
 		id := lo
 		_, err = btree.BulkLoad(pagestore.NewFileStore(f, fsys.BlockSize()), func() ([]byte, []byte, bool) {
 			if id >= hi {
@@ -148,262 +149,6 @@ func loadShardRelations(fsys vfs.FileSystem, part *Partitioner, s int) error {
 	}
 	return fsys.Sync()
 }
-
-// Shard is one partition of a sharded TPC-B system: its own file system
-// (device), its own transaction environment with its own write-ahead log,
-// and its slice of the relations.
-type Shard struct {
-	Env *libtp.Env
-	acc *libtp.DB
-	tel *libtp.DB
-	brn *libtp.DB
-	hst *libtp.DB
-}
-
-// ShardedSystem runs TPC-B across N user-level transaction environments,
-// one per device, with the relations range-partitioned by the Partitioner.
-// Transactions touching a single shard commit through the ordinary local
-// path; cross-shard transactions run two-phase commit over the per-shard
-// logs, with the account's shard as coordinator (the history record lands
-// there too, so the coordinator always has work of its own). All shards
-// share one lock manager — under namespaced lock ids — so cross-shard
-// waits-for cycles are detected and broken exactly like local ones.
-type ShardedSystem struct {
-	clock  *sim.Clock
-	costs  sim.CostModel
-	part   *Partitioner
-	shards []*Shard
-	label  string
-	gids   uint64 // global-transaction id counter (unique across the run)
-
-	// Cross-shard accounting.
-	crossTxns  int64
-	singleTxns int64
-}
-
-// NewShardedSystem builds the sharded user-level configuration over the
-// given per-shard environments (typically one per device, created by the
-// rig with a shared lock manager and distinct lock spaces).
-func NewShardedSystem(envs []*libtp.Env, part *Partitioner, clock *sim.Clock, costs sim.CostModel) *ShardedSystem {
-	s := &ShardedSystem{
-		clock: clock,
-		costs: costs,
-		part:  part,
-		label: fmt.Sprintf("user-%s[%d]", envs[0].FS().Name(), len(envs)),
-	}
-	for _, env := range envs {
-		s.shards = append(s.shards, &Shard{Env: env})
-	}
-	return s
-}
-
-// Name implements System.
-func (s *ShardedSystem) Name() string { return s.label }
-
-// Partitioner returns the id-to-shard mapping.
-func (s *ShardedSystem) Partitioner() *Partitioner { return s.part }
-
-// CrossShardTxns returns how many committed transactions spanned shards and
-// how many stayed local.
-func (s *ShardedSystem) CrossShardTxns() (cross, single int64) {
-	return s.crossTxns, s.singleTxns
-}
-
-// Load implements System: bulk-load each shard's slice of the relations and
-// open the per-shard database handles.
-func (s *ShardedSystem) Load(cfg Config) error {
-	for i, sh := range s.shards {
-		if err := loadShardRelations(sh.Env.FS(), s.part, i); err != nil {
-			return err
-		}
-		if err := sh.attach(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// attach opens the four relations on the shard's environment.
-func (sh *Shard) attach() error {
-	var err error
-	if sh.acc, err = sh.Env.OpenDB(AccountPath); err != nil {
-		return err
-	}
-	if sh.tel, err = sh.Env.OpenDB(TellerPath); err != nil {
-		return err
-	}
-	if sh.brn, err = sh.Env.OpenDB(BranchPath); err != nil {
-		return err
-	}
-	sh.hst, err = sh.Env.OpenDB(HistoryPath)
-	return err
-}
-
-// Attach opens the relations on already-loaded (e.g. recovered) shard
-// environments. No load is performed.
-func (s *ShardedSystem) Attach() error {
-	for _, sh := range s.shards {
-		if err := sh.attach(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Run implements System: route each relation update to its owning shard,
-// then commit — locally when one shard saw all the work, by two-phase
-// commit otherwise.
-func (s *ShardedSystem) Run(t Txn) error {
-	as := s.part.ShardOfAccount(t.Account)
-	ts := s.part.ShardOfTeller(t.Teller)
-	bs := s.part.ShardOfBranch(t.Branch)
-
-	locals := make([]*libtp.Txn, len(s.shards))
-	begin := func(sh int) *libtp.Txn {
-		if locals[sh] == nil {
-			locals[sh] = s.shards[sh].Env.Begin()
-		}
-		return locals[sh]
-	}
-	abortAll := func() {
-		for _, tx := range locals {
-			if tx != nil {
-				tx.Abort()
-			}
-		}
-	}
-	// Begin the coordinator (the account's shard) first so its local
-	// transaction ids advance deterministically, then touch relations in
-	// the same order as the unsharded system.
-	coord := begin(as)
-	update := func(sh int, db *libtp.DB, id int64) error {
-		s.clock.Advance(s.costs.RecordOp)
-		tr, err := btree.Open(begin(sh).Store(db))
-		if err != nil {
-			return err
-		}
-		rec, err := tr.Get(Key(id))
-		if err != nil {
-			return err
-		}
-		rec2 := append([]byte(nil), rec...)
-		SetBalance(rec2, Balance(rec2)+t.Amount)
-		return tr.Put(Key(id), rec2)
-	}
-	if err := update(as, s.shards[as].acc, t.Account); err != nil {
-		abortAll()
-		return err
-	}
-	if err := update(ts, s.shards[ts].tel, t.Teller); err != nil {
-		abortAll()
-		return err
-	}
-	if err := update(bs, s.shards[bs].brn, t.Branch); err != nil {
-		abortAll()
-		return err
-	}
-	// The history record follows the account: the coordinator shard always
-	// carries the transaction's one durable history row.
-	s.clock.Advance(s.costs.RecordOp)
-	hf, err := recno.Open(coord.Store(s.shards[as].hst))
-	if err != nil {
-		abortAll()
-		return err
-	}
-	if _, err := hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(s.clock.Now()))); err != nil {
-		abortAll()
-		return err
-	}
-
-	// Single-shard fast path: the ordinary local commit.
-	cross := false
-	for sh, tx := range locals {
-		if tx != nil && sh != as {
-			cross = true
-			break
-		}
-	}
-	if !cross {
-		if err := coord.Commit(); err != nil {
-			return err
-		}
-		s.singleTxns++
-		return nil
-	}
-
-	// Two-phase commit. Phase 1: every non-coordinator participant
-	// prepares (durably, group-batched) while holding its locks.
-	s.gids++
-	gid := s.gids
-	for sh, tx := range locals {
-		if tx == nil || sh == as {
-			continue
-		}
-		if err := tx.Prepare(gid); err != nil {
-			abortAll()
-			return err
-		}
-	}
-	// Decision: the coordinator logs prepare + global-commit + its own
-	// commit and forces once; when CommitGlobal returns the decision is
-	// durable and the global transaction is committed.
-	if err := coord.CommitGlobal(gid); err != nil {
-		return err
-	}
-	// Phase 2: participants commit lazily — the decision record already
-	// owns their fate, so no per-shard force is needed.
-	for sh, tx := range locals {
-		if tx == nil || sh == as {
-			continue
-		}
-		if err := tx.CommitPrepared(); err != nil {
-			return err
-		}
-	}
-	s.crossTxns++
-	return nil
-}
-
-// NewWorker implements MultiClient: like the unsharded user-level system,
-// all per-call state lives in the transactions, so clients share the
-// System itself.
-func (s *ShardedSystem) NewWorker() (Worker, error) { return s, nil }
-
-// Drain implements System, in two phases across the whole array: first
-// force every shard's log, then checkpoint every shard. The order matters —
-// a checkpoint truncates its shard's log, and an undecided prepare record
-// on shard A must never outlive the loss of its decision record on shard B;
-// after phase one every decision every shard depends on is durable.
-func (s *ShardedSystem) Drain() error {
-	for _, sh := range s.shards {
-		if err := sh.Env.ForceLog(); err != nil {
-			return err
-		}
-	}
-	for _, sh := range s.shards {
-		if err := sh.Env.Checkpoint(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanAccounts implements System: scan every shard's slice in shard order
-// (which is key order, since partitions are ascending contiguous ranges).
-func (s *ShardedSystem) ScanAccounts() (int64, error) {
-	var n int64
-	for _, sh := range s.shards {
-		c, err := scanAccounts(sh.Env.FS())
-		if err != nil {
-			return n, err
-		}
-		n += c
-	}
-	return n, nil
-}
-
-// Close implements System.
-func (s *ShardedSystem) Close() error { return nil }
 
 // RecoverSharded reopens every shard's environment after a whole-machine
 // crash, resolving in-doubt two-phase-commit branches from the union of the
@@ -441,113 +186,4 @@ func RecoverSharded(fss []vfs.FileSystem, clock *sim.Clock, opts libtp.Options, 
 		reports[i] = rep
 	}
 	return envs, reports, nil
-}
-
-// VerifyShardedState checks the recovered shards against the shadow history
-// of committed transactions, exactly like VerifyState for one file system —
-// with the atomicity obligation now spanning shards: the total history
-// count across all shards must equal the committed count (or, with a
-// non-nil inFlight, exactly one more, in which case every relation on every
-// shard must consistently reflect the extra transaction). A cross-shard
-// transfer that survived on one shard and vanished on another shows up here
-// as a balance mismatch.
-func VerifyShardedState(fss []vfs.FileSystem, part *Partitioner, committed []Txn, inFlight *Txn) error {
-	var histTotal int64
-	for i, fsys := range fss {
-		hf, err := fsys.Open(HistoryPath)
-		if err != nil {
-			return fmt.Errorf("shard %d history: %w", i, err)
-		}
-		h, err := recno.Open(pagestore.NewFileStore(hf, fsys.BlockSize()))
-		if err != nil {
-			hf.Close()
-			return fmt.Errorf("shard %d history: %w", i, err)
-		}
-		histTotal += h.Count()
-		hf.Close()
-	}
-	expect := committed
-	switch {
-	case histTotal == int64(len(committed)):
-		// The in-flight transaction (if any) did not reach durability.
-	case inFlight != nil && histTotal == int64(len(committed))+1:
-		// Durable but unacknowledged: fold it into the expected state.
-		expect = make([]Txn, len(committed), len(committed)+1)
-		copy(expect, committed)
-		expect = append(expect, *inFlight)
-	default:
-		return fmt.Errorf("durability: history count across shards = %d, want %d (in-flight: %v)",
-			histTotal, len(committed), inFlight != nil)
-	}
-
-	var want int64
-	perAccount := map[int64]int64{}
-	perTeller := map[int64]int64{}
-	perBranch := map[int64]int64{}
-	for _, tx := range expect {
-		want += tx.Amount
-		perAccount[tx.Account] += tx.Amount
-		perTeller[tx.Teller] += tx.Amount
-		perBranch[tx.Branch] += tx.Amount
-	}
-	// Per-relation totals across all shards must hit the global sum; ids are
-	// decoded from the keys (a shard holds a range, not 0..n-1).
-	sumShard := func(fsys vfs.FileSystem, path string, per map[int64]int64, lo, hi int64) (int64, error) {
-		f, err := fsys.Open(path)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", path, err)
-		}
-		defer f.Close()
-		tr, err := btree.Open(pagestore.NewFileStore(f, fsys.BlockSize()))
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", path, err)
-		}
-		c, err := tr.First()
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", path, err)
-		}
-		var sum int64
-		rows := int64(0)
-		for c.Next() {
-			id := int64(binary.BigEndian.Uint64(c.Key()))
-			if id < lo || id >= hi {
-				return 0, fmt.Errorf("partition: %s id %d outside shard range [%d,%d)", path, id, lo, hi)
-			}
-			b := Balance(c.Value())
-			sum += b
-			if b != per[id] {
-				return 0, fmt.Errorf("atomicity: %s id %d balance %d, want %d", path, id, b, per[id])
-			}
-			rows++
-		}
-		if err := c.Err(); err != nil {
-			return 0, fmt.Errorf("%s: %w", path, err)
-		}
-		if rows != hi-lo {
-			return 0, fmt.Errorf("partition: %s holds %d rows, want %d", path, rows, hi-lo)
-		}
-		return sum, nil
-	}
-	check := func(path string, per map[int64]int64, rng func(int) (int64, int64)) error {
-		var total int64
-		for i, fsys := range fss {
-			lo, hi := rng(i)
-			sum, err := sumShard(fsys, path, per, lo, hi)
-			if err != nil {
-				return fmt.Errorf("shard %d %w", i, err)
-			}
-			total += sum
-		}
-		if total != want {
-			return fmt.Errorf("balance: %s sum across shards = %d, want %d", path, total, want)
-		}
-		return nil
-	}
-	if err := check(AccountPath, perAccount, part.AccountRange); err != nil {
-		return err
-	}
-	if err := check(TellerPath, perTeller, part.TellerRange); err != nil {
-		return err
-	}
-	return check(BranchPath, perBranch, part.BranchRange)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ffs"
 	"repro/internal/lfs"
 	"repro/internal/libtp"
 	"repro/internal/lock"
@@ -71,69 +72,109 @@ func TestPartitionerValidation(t *testing.T) {
 	}
 }
 
-// shardedStormRig builds a 3-device partitioned user-lfs rig for the crash
-// storm tests.
-func shardedStormRig(t *testing.T, cfg Config) *Rig {
+// stormRig builds a user-level rig for the crash storm tests: a single disk
+// when devices is 1, a partitioned array otherwise.
+func stormRig(t *testing.T, kind string, devices int, cfg Config) *Rig {
 	t.Helper()
-	rig, err := BuildRig(RigOptions{
-		Kind:         "user-lfs",
-		Config:       cfg,
-		ExpectedTxns: 400,
-		Devices:      3,
-		Layout:       "partition",
-	})
+	opts := RigOptions{Kind: kind, Config: cfg, ExpectedTxns: 400}
+	if devices > 1 {
+		opts.Devices, opts.Layout = devices, "partition"
+	}
+	rig, err := BuildRig(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rig
 }
 
-// TestShardedCrashStorm crashes the partitioned system at transaction
-// boundaries: all in-memory state is dropped, every device is remounted,
-// recovery resolves in-doubt two-phase-commit branches from the union of
-// the shards' decision records, and the cross-shard TPC-B invariants must
-// hold — every acknowledged transfer present on every shard it touched.
-func TestShardedCrashStorm(t *testing.T) {
-	cfg := Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: 77}
-	rig := shardedStormRig(t, cfg)
-	sys := rig.Sys.(*ShardedSystem)
-	gen := NewGenerator(cfg)
-	rng := sim.NewRNG(11)
-
-	var committed []Txn
-	for round := 0; round < 5; round++ {
-		burst := 20 + rng.Intn(30)
-		for i := 0; i < burst; i++ {
-			tx := gen.Next()
-			if err := sys.Run(tx); err != nil {
-				t.Fatalf("round %d txn %d: %v", round, i, err)
-			}
-			committed = append(committed, tx)
-		}
-		if cross, _ := sys.CrossShardTxns(); round == 0 && cross == 0 {
-			t.Fatal("no cross-shard transactions in the first burst; workload does not exercise 2PC")
-		}
-		// CRASH: remount every device, recover the array as a whole.
-		fss := make([]vfs.FileSystem, len(rig.Devs))
-		for d, dev := range rig.Devs {
-			fs2, err := lfs.Mount(dev, rig.Clock, lfs.Options{CacheBlocks: 256})
+// remount mounts every shard's file system from its device after a crash:
+// the rig's one device, or each member of a partitioned array. FFS rebuilds
+// its allocation bitmap before any log replay, or replay-driven allocations
+// could clobber durable data.
+func remount(t *testing.T, rig *Rig, kind string) []vfs.FileSystem {
+	t.Helper()
+	devs := rig.ShardDevices()
+	fss := make([]vfs.FileSystem, len(devs))
+	for i, dev := range devs {
+		if kind == "user-ffs" {
+			fs2, err := ffs.Mount(dev, rig.Clock, ffs.Options{CacheBlocks: 256})
 			if err != nil {
-				t.Fatalf("round %d shard %d remount: %v", round, d, err)
+				t.Fatalf("shard %d remount: %v", i, err)
 			}
-			fss[d] = fs2
+			if _, err := fs2.Fsck(); err != nil {
+				t.Fatalf("shard %d fsck: %v", i, err)
+			}
+			fss[i] = fs2
+			continue
 		}
-		envs, _, err := RecoverSharded(fss, rig.Clock, libtp.Options{}, lock.NewManager())
+		fs2, err := lfs.Mount(dev, rig.Clock, lfs.Options{CacheBlocks: 256})
 		if err != nil {
-			t.Fatalf("round %d recover: %v", round, err)
+			t.Fatalf("shard %d remount: %v", i, err)
 		}
-		if err := VerifyShardedState(fss, rig.Part, committed, nil); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-		sys = NewShardedSystem(envs, rig.Part, rig.Clock, sim.SpriteCosts())
-		if err := sys.Attach(); err != nil {
-			t.Fatalf("round %d attach: %v", round, err)
-		}
-		rig.Shards = envs
+		fss[i] = fs2
+	}
+	return fss
+}
+
+// TestShardedCrashStorm crashes the user-level system at transaction
+// boundaries, on a single disk and on a 3-device partitioned array (where a
+// transaction can span three shards), over both file systems: all in-memory
+// state is dropped, every device is remounted, recovery replays the logs and
+// resolves in-doubt two-phase-commit branches from the union of the shards'
+// decision records, and the TPC-B invariants must hold — every acknowledged
+// transfer present on every shard it touched.
+func TestShardedCrashStorm(t *testing.T) {
+	for _, tc := range []struct {
+		kind      string
+		devices   int
+		seed, rng uint64
+	}{
+		{"user-lfs", 1, 21, 8},
+		{"user-ffs", 1, 33, 9},
+		{"user-lfs", 3, 77, 11},
+		{"user-ffs", 3, 78, 12},
+	} {
+		t.Run(fmt.Sprintf("%s/%ddev", tc.kind, tc.devices), func(t *testing.T) {
+			cfg := Config{Accounts: 1500, Tellers: 15, Branches: 3, Seed: tc.seed}
+			rig := stormRig(t, tc.kind, tc.devices, cfg)
+			sys := rig.Sys.(*UserSystem)
+			gen := NewGenerator(cfg)
+			rng := sim.NewRNG(tc.rng)
+
+			var committed []Txn
+			for round := 0; round < 5; round++ {
+				burst := 20 + rng.Intn(30)
+				for i := 0; i < burst; i++ {
+					tx := gen.Next()
+					if err := sys.Run(tx); err != nil {
+						t.Fatalf("round %d txn %d: %v", round, i, err)
+					}
+					committed = append(committed, tx)
+				}
+				if cross, _ := sys.CrossShardTxns(); tc.devices > 1 && round == 0 && cross == 0 {
+					t.Fatal("no cross-shard transactions in the first burst; workload does not exercise 2PC")
+				}
+				// CRASH: remount every device, recover the shards as a whole.
+				fss := remount(t, rig, tc.kind)
+				envs, _, err := RecoverSharded(fss, rig.Clock, libtp.Options{}, lock.NewManager())
+				if err != nil {
+					t.Fatalf("round %d recover: %v", round, err)
+				}
+				if tc.devices == 1 {
+					err = VerifyState(fss[0], committed, nil)
+				} else {
+					err = VerifyShardedState(fss, rig.Part, committed, nil)
+				}
+				if err != nil {
+					t.Fatalf("round %d: %v", round, err)
+				}
+				sys = NewUserSystem(envs, rig.Part, rig.Clock, sim.SpriteCosts())
+				if err := sys.Attach(); err != nil {
+					t.Fatalf("round %d attach: %v", round, err)
+				}
+				rig.Shards = envs
+			}
+		})
 	}
 }
 
@@ -143,7 +184,7 @@ func TestShardedCrashStorm(t *testing.T) {
 // the interrupted cross-shard transfer is either everywhere or nowhere.
 func TestShardedMid2PCCrash(t *testing.T) {
 	cfg := Config{Accounts: 900, Tellers: 9, Branches: 3, Seed: 55}
-	build := func() *Rig { return shardedStormRig(t, cfg) }
+	build := func() *Rig { return stormRig(t, "user-lfs", 3, cfg) }
 
 	// Learn the write-op timeline from a golden run.
 	golden := build()
@@ -197,14 +238,7 @@ func TestShardedMid2PCCrash(t *testing.T) {
 			t.Fatalf("crash point %d never fired", n)
 		}
 		rig.Crash.ClearCrash()
-		fss := make([]vfs.FileSystem, len(rig.Devs))
-		for d, dev := range rig.Devs {
-			fs2, err := lfs.Mount(dev, rig.Clock, lfs.Options{CacheBlocks: 256})
-			if err != nil {
-				t.Fatalf("point %d shard %d remount: %v", n, d, err)
-			}
-			fss[d] = fs2
-		}
+		fss := remount(t, rig, "user-lfs")
 		if _, _, err := RecoverSharded(fss, rig.Clock, libtp.Options{}, lock.NewManager()); err != nil {
 			t.Fatalf("point %d recover: %v", n, err)
 		}

@@ -25,61 +25,10 @@ func DBPaths() []string {
 	return []string{AccountPath, TellerPath, BranchPath, HistoryPath}
 }
 
-// LoadRelations bulk-loads the four relations directly through the file
-// system (the offline load phase; transactions are not involved) and syncs.
-func LoadRelations(fsys vfs.FileSystem, cfg Config) error {
-	return loadRelations(fsys, cfg)
-}
-
 // ScanAccountsOn walks the account B-tree in key order through a raw file
 // store on any file system (the §5.3 SCAN test measurement).
 func ScanAccountsOn(fsys vfs.FileSystem) (int64, error) {
 	return scanAccounts(fsys)
-}
-
-// loadRelations bulk-loads the four relations directly through the file
-// system (the offline load phase; transactions are not involved) and syncs.
-func loadRelations(fsys vfs.FileSystem, cfg Config) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	mkTree := func(path string, n int64) error {
-		f, err := fsys.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		// Bulk-build the primary index bottom-up from the sorted id
-		// stream, as a real database load utility would.
-		id := int64(0)
-		_, err = btree.BulkLoad(pagestore.NewFileStore(f, fsys.BlockSize()), func() ([]byte, []byte, bool) {
-			if id >= n {
-				return nil, nil, false
-			}
-			k, v := Key(id), BalanceRecord(id, 0)
-			id++
-			return k, v, true
-		})
-		return err
-	}
-	if err := mkTree(AccountPath, cfg.Accounts); err != nil {
-		return fmt.Errorf("tpcb: load accounts: %w", err)
-	}
-	if err := mkTree(TellerPath, cfg.Tellers); err != nil {
-		return fmt.Errorf("tpcb: load tellers: %w", err)
-	}
-	if err := mkTree(BranchPath, cfg.Branches); err != nil {
-		return fmt.Errorf("tpcb: load branches: %w", err)
-	}
-	f, err := fsys.Create(HistoryPath)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := recno.Create(pagestore.NewFileStore(f, fsys.BlockSize()), HistoryRecordSize); err != nil {
-		return fmt.Errorf("tpcb: load history: %w", err)
-	}
-	return fsys.Sync()
 }
 
 // scanAccounts walks the account B-tree in key order through a raw file
@@ -90,7 +39,13 @@ func scanAccounts(fsys vfs.FileSystem) (int64, error) {
 		return 0, err
 	}
 	defer f.Close()
-	tr, err := btree.Open(pagestore.NewFileStore(f, fsys.BlockSize()))
+	return countAccounts(pagestore.NewFileStore(f, fsys.BlockSize()))
+}
+
+// countAccounts walks the account B-tree on st in key order and returns the
+// row count.
+func countAccounts(st pagestore.Store) (int64, error) {
+	tr, err := btree.Open(st)
 	if err != nil {
 		return 0, err
 	}
@@ -102,157 +57,280 @@ func scanAccounts(fsys vfs.FileSystem) (int64, error) {
 	for c.Next() {
 		n++
 	}
-	if c.Err() != nil {
-		return n, c.Err()
-	}
-	return n, nil
+	return n, c.Err()
 }
 
 // --- user-level system (LIBTP, Figure 2) ---
 
-// UserSystem runs TPC-B through the user-level transaction manager on any
-// file system.
-type UserSystem struct {
-	env   *libtp.Env
-	clock *sim.Clock
-	costs sim.CostModel
-	label string
-	acc   *libtp.DB
-	tel   *libtp.DB
-	brn   *libtp.DB
-	hist  *libtp.DB
-	// Interior-node caches, one per B-tree relation (history is recno — no
-	// interior pages). Shared across workers, validated by on-page LSN, and
-	// flushed wholesale on any abort: the before-image restore rewinds page
-	// LSNs, so a post-abort writer could reissue an LSN the cache still maps
-	// to aborted-timeline bytes.
-	accCache *btree.NodeCache
-	telCache *btree.NodeCache
-	brnCache *btree.NodeCache
+// shard is one partition of the user-level system: a transaction
+// environment with its own file system and write-ahead log, and its slice
+// of the relations.
+type shard struct {
+	env *libtp.Env
+	acc *libtp.DB
+	tel *libtp.DB
+	brn *libtp.DB
+	hst *libtp.DB
 }
 
-// NewUserSystem builds the user-level configuration on env's file system.
-func NewUserSystem(env *libtp.Env, clock *sim.Clock, costs sim.CostModel) *UserSystem {
-	return &UserSystem{
-		env:      env,
-		clock:    clock,
-		costs:    costs,
-		label:    "user-" + env.FS().Name(),
-		accCache: btree.NewNodeCache(0),
-		telCache: btree.NewNodeCache(0),
-		brnCache: btree.NewNodeCache(0),
+// attach opens the four relations on the shard's environment.
+func (sh *shard) attach() error {
+	var err error
+	if sh.acc, err = sh.env.OpenDB(AccountPath); err != nil {
+		return err
 	}
+	if sh.tel, err = sh.env.OpenDB(TellerPath); err != nil {
+		return err
+	}
+	if sh.brn, err = sh.env.OpenDB(BranchPath); err != nil {
+		return err
+	}
+	sh.hst, err = sh.env.OpenDB(HistoryPath)
+	return err
 }
 
-// abort rolls the transaction back and drops the shared interior caches
-// (see the cache field comment for why aborts must flush).
-func (s *UserSystem) abort(txn *libtp.Txn) {
-	txn.Abort()
-	s.accCache.Flush()
-	s.telCache.Flush()
-	s.brnCache.Flush()
+// UserSystem runs TPC-B through the user-level transaction manager on one
+// or more transaction environments, with the relations range-partitioned
+// across them by the Partitioner. A single disk (or a striped array, which
+// presents one file system) is the one-shard case.
+//
+// Transactions touching a single shard commit through the ordinary local
+// path; cross-shard transactions run two-phase commit over the per-shard
+// logs, with the account's shard as coordinator (the history record lands
+// there too, so the coordinator always has work of its own). All shards
+// share one lock manager — under namespaced lock ids — so cross-shard
+// waits-for cycles are detected and broken exactly like local ones.
+type UserSystem struct {
+	clock  *sim.Clock
+	costs  sim.CostModel
+	part   *Partitioner
+	shards []*shard
+	label  string
+	gids   uint64 // global-transaction id counter (unique across the run)
+
+	// Cross-shard accounting.
+	crossTxns  int64
+	singleTxns int64
+}
+
+// NewUserSystem builds the user-level configuration over the given
+// per-shard environments: one for a single file system, or one per device
+// of a partitioned array (created by the rig with a shared lock manager and
+// distinct lock spaces).
+func NewUserSystem(envs []*libtp.Env, part *Partitioner, clock *sim.Clock, costs sim.CostModel) *UserSystem {
+	s := &UserSystem{
+		clock: clock,
+		costs: costs,
+		part:  part,
+		label: "user-" + envs[0].FS().Name(),
+	}
+	if len(envs) > 1 {
+		s.label += fmt.Sprintf("[%d]", len(envs))
+	}
+	for _, env := range envs {
+		s.shards = append(s.shards, &shard{env: env})
+	}
+	return s
 }
 
 // Name implements System.
 func (s *UserSystem) Name() string { return s.label }
 
-// Load implements System.
+// CrossShardTxns returns how many committed transactions spanned shards and
+// how many stayed local.
+func (s *UserSystem) CrossShardTxns() (cross, single int64) {
+	return s.crossTxns, s.singleTxns
+}
+
+// Load implements System: bulk-load each shard's slice of the relations and
+// open the per-shard database handles.
 func (s *UserSystem) Load(cfg Config) error {
-	if err := loadRelations(s.env.FS(), cfg); err != nil {
-		return err
-	}
-	var err error
-	if s.acc, err = s.env.OpenDB(AccountPath); err != nil {
-		return err
-	}
-	if s.tel, err = s.env.OpenDB(TellerPath); err != nil {
-		return err
-	}
-	if s.brn, err = s.env.OpenDB(BranchPath); err != nil {
-		return err
-	}
-	if s.hist, err = s.env.OpenDB(HistoryPath); err != nil {
-		return err
+	for i, sh := range s.shards {
+		if err := loadShardRelations(sh.env.FS(), s.part, i); err != nil {
+			return err
+		}
+		if err := sh.attach(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// Attach opens the four relations on an already-loaded (e.g. recovered)
-// environment. No load is performed.
+// Attach opens the relations on already-loaded (e.g. recovered) shard
+// environments. No load is performed.
 func (s *UserSystem) Attach() error {
-	var err error
-	if s.acc, err = s.env.OpenDB(AccountPath); err != nil {
-		return err
-	}
-	if s.tel, err = s.env.OpenDB(TellerPath); err != nil {
-		return err
-	}
-	if s.brn, err = s.env.OpenDB(BranchPath); err != nil {
-		return err
-	}
-	if s.hist, err = s.env.OpenDB(HistoryPath); err != nil {
-		return err
+	for _, sh := range s.shards {
+		if err := sh.attach(); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// shardTxns holds one TPC-B transaction's shard-local transactions in
+// ascending shard order. Account, teller and branch may each live on a
+// different shard, so three slots always suffice.
+type shardTxns struct {
+	n  int
+	sh [3]int
+	tx [3]*libtp.Txn
+}
+
+// begin returns shard sh's local transaction, starting it on first use.
+func (l *shardTxns) begin(s *UserSystem, sh int) *libtp.Txn {
+	i := 0
+	for i < l.n && l.sh[i] < sh {
+		i++
+	}
+	if i < l.n && l.sh[i] == sh {
+		return l.tx[i]
+	}
+	copy(l.sh[i+1:l.n+1], l.sh[i:l.n])
+	copy(l.tx[i+1:l.n+1], l.tx[i:l.n])
+	l.sh[i], l.tx[i] = sh, s.shards[sh].env.Begin()
+	l.n++
+	return l.tx[i]
+}
+
+// abort rolls back every shard-local transaction.
+func (l *shardTxns) abort() {
+	for _, tx := range l.tx[:l.n] {
+		tx.Abort()
+	}
+}
+
+// update adds amount to one balance record on shard sh.
+func (s *UserSystem) update(l *shardTxns, sh int, db *libtp.DB, id, amount int64) error {
+	s.clock.Advance(s.costs.RecordOp)
+	tr, err := btree.Open(l.begin(s, sh).Store(db))
+	if err != nil {
+		return err
+	}
+	rec, err := tr.Get(Key(id))
+	if err != nil {
+		return err
+	}
+	rec2 := append([]byte(nil), rec...)
+	SetBalance(rec2, Balance(rec2)+amount)
+	return tr.Put(Key(id), rec2)
 }
 
 // Run implements System: the classic read-update of account, teller, and
-// branch plus a history append, inside one transaction.
+// branch plus a history append, each routed to its owning shard, then a
+// commit — local when one shard saw all the work, two-phase otherwise.
 func (s *UserSystem) Run(t Txn) error {
-	txn := s.env.Begin()
-	update := func(db *libtp.DB, c *btree.NodeCache, id int64) error {
-		s.clock.Advance(s.costs.RecordOp)
-		tr, err := btree.OpenWithCache(txn.Store(db), c)
-		if err != nil {
-			return err
-		}
-		rec, err := tr.Get(Key(id))
-		if err != nil {
-			return err
-		}
-		rec2 := append([]byte(nil), rec...)
-		SetBalance(rec2, Balance(rec2)+t.Amount)
-		return tr.Put(Key(id), rec2)
-	}
-	if err := update(s.acc, s.accCache, t.Account); err != nil {
-		s.abort(txn)
+	as := s.part.ShardOfAccount(t.Account)
+	ts := s.part.ShardOfTeller(t.Teller)
+	bs := s.part.ShardOfBranch(t.Branch)
+
+	// Begin the coordinator (the account's shard) first so its local
+	// transaction ids advance deterministically.
+	var l shardTxns
+	coord := l.begin(s, as)
+	if err := s.update(&l, as, s.shards[as].acc, t.Account, t.Amount); err != nil {
+		l.abort()
 		return err
 	}
-	if err := update(s.tel, s.telCache, t.Teller); err != nil {
-		s.abort(txn)
+	if err := s.update(&l, ts, s.shards[ts].tel, t.Teller, t.Amount); err != nil {
+		l.abort()
 		return err
 	}
-	if err := update(s.brn, s.brnCache, t.Branch); err != nil {
-		s.abort(txn)
+	if err := s.update(&l, bs, s.shards[bs].brn, t.Branch, t.Amount); err != nil {
+		l.abort()
 		return err
 	}
+	// The history record follows the account: the coordinator shard always
+	// carries the transaction's one durable history row.
 	s.clock.Advance(s.costs.RecordOp)
-	hf, err := recno.Open(txn.Store(s.hist))
+	hf, err := recno.Open(coord.Store(s.shards[as].hst))
 	if err != nil {
-		s.abort(txn)
+		l.abort()
 		return err
 	}
 	if _, err := hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(s.clock.Now()))); err != nil {
-		s.abort(txn)
+		l.abort()
 		return err
 	}
-	return txn.Commit()
+
+	// Single-shard fast path: the ordinary local commit.
+	if l.n == 1 {
+		if err := coord.Commit(); err != nil {
+			return err
+		}
+		s.singleTxns++
+		return nil
+	}
+
+	// Two-phase commit. Phase 1: every non-coordinator participant
+	// prepares (durably, group-batched) while holding its locks.
+	s.gids++
+	gid := s.gids
+	for i, tx := range l.tx[:l.n] {
+		if l.sh[i] == as {
+			continue
+		}
+		if err := tx.Prepare(gid); err != nil {
+			l.abort()
+			return err
+		}
+	}
+	// Decision: the coordinator logs prepare + global-commit + its own
+	// commit and forces once; when CommitGlobal returns the decision is
+	// durable and the global transaction is committed.
+	if err := coord.CommitGlobal(gid); err != nil {
+		return err
+	}
+	// Phase 2: participants commit lazily — the decision record already
+	// owns their fate, so no per-shard force is needed.
+	for i, tx := range l.tx[:l.n] {
+		if l.sh[i] == as {
+			continue
+		}
+		if err := tx.CommitPrepared(); err != nil {
+			return err
+		}
+	}
+	s.crossTxns++
+	return nil
 }
 
-// NewWorker implements MultiClient. The user-level system is stateless per
-// call — transactions address the shared DB handles through their own
-// transactional stores — so every client can share the System itself.
+// NewWorker implements MultiClient. All per-call state lives in the
+// transactions, which address the shared DB handles through their own
+// transactional stores, so every client can share the System itself.
 func (s *UserSystem) NewWorker() (Worker, error) { return s, nil }
 
-// Drain implements System: force any batched commits and flush the cache
-// through a checkpoint.
+// Drain implements System, in two phases across all shards: first force
+// every shard's log, then checkpoint every shard (flushing the caches). The
+// order matters — a checkpoint truncates its shard's log, and an undecided
+// prepare record on shard A must never outlive the loss of its decision
+// record on shard B; after phase one every decision every shard depends on
+// is durable.
 func (s *UserSystem) Drain() error {
-	return s.env.Checkpoint()
+	for _, sh := range s.shards {
+		if err := sh.env.ForceLog(); err != nil {
+			return err
+		}
+	}
+	for _, sh := range s.shards {
+		if err := sh.env.Checkpoint(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// ScanAccounts implements System.
+// ScanAccounts implements System: scan every shard's slice in shard order
+// (which is key order, since partitions are ascending contiguous ranges).
 func (s *UserSystem) ScanAccounts() (int64, error) {
-	return scanAccounts(s.env.FS())
+	var n int64
+	for _, sh := range s.shards {
+		c, err := scanAccounts(sh.env.FS())
+		if err != nil {
+			return n, err
+		}
+		n += c
+	}
+	return n, nil
 }
 
 // Close implements System.
@@ -270,30 +348,11 @@ type EmbeddedSystem struct {
 	tel   *core.File
 	brn   *core.File
 	hist  *core.File
-	// Shared interior-node caches, as in UserSystem (see that field comment
-	// for the abort-flush requirement).
-	accCache *btree.NodeCache
-	telCache *btree.NodeCache
-	brnCache *btree.NodeCache
 }
 
 // NewEmbeddedSystem builds the kernel configuration.
 func NewEmbeddedSystem(m *core.Manager, clock *sim.Clock, costs sim.CostModel) *EmbeddedSystem {
-	return &EmbeddedSystem{
-		m: m, clock: clock, costs: costs, proc: m.NewProcess(),
-		accCache: btree.NewNodeCache(0),
-		telCache: btree.NewNodeCache(0),
-		brnCache: btree.NewNodeCache(0),
-	}
-}
-
-// abort rolls the process's transaction back and drops the shared interior
-// caches (abort rewinds page LSNs; see UserSystem).
-func (s *EmbeddedSystem) abort(proc *core.Process) {
-	proc.TxnAbort()
-	s.accCache.Flush()
-	s.telCache.Flush()
-	s.brnCache.Flush()
+	return &EmbeddedSystem{m: m, clock: clock, costs: costs, proc: m.NewProcess()}
 }
 
 // Name implements System.
@@ -302,7 +361,11 @@ func (s *EmbeddedSystem) Name() string { return "kernel-lfs" }
 // Load implements System: bulk-load, then turn transaction-protection on
 // for all four relations.
 func (s *EmbeddedSystem) Load(cfg Config) error {
-	if err := loadRelations(s.m.FS(), cfg); err != nil {
+	part, err := NewPartitioner(cfg, 1)
+	if err != nil {
+		return err
+	}
+	if err := loadShardRelations(s.m.FS(), part, 0); err != nil {
 		return err
 	}
 	for _, p := range DBPaths() {
@@ -313,7 +376,6 @@ func (s *EmbeddedSystem) Load(cfg Config) error {
 	if err := s.m.FS().Sync(); err != nil {
 		return err
 	}
-	var err error
 	if s.acc, err = s.m.Open(AccountPath); err != nil {
 		return err
 	}
@@ -356,9 +418,9 @@ func (s *EmbeddedSystem) runWith(proc *core.Process, t Txn) error {
 	if err := proc.TxnBegin(); err != nil {
 		return err
 	}
-	update := func(f *core.File, c *btree.NodeCache, id int64) error {
+	update := func(f *core.File, id int64) error {
 		s.clock.Advance(s.costs.RecordOp)
-		tr, err := btree.OpenWithCache(core.NewStore(proc, f), c)
+		tr, err := btree.Open(core.NewStore(proc, f))
 		if err != nil {
 			return err
 		}
@@ -370,26 +432,26 @@ func (s *EmbeddedSystem) runWith(proc *core.Process, t Txn) error {
 		SetBalance(rec2, Balance(rec2)+t.Amount)
 		return tr.Put(Key(id), rec2)
 	}
-	if err := update(s.acc, s.accCache, t.Account); err != nil {
-		s.abort(proc)
+	if err := update(s.acc, t.Account); err != nil {
+		proc.TxnAbort()
 		return err
 	}
-	if err := update(s.tel, s.telCache, t.Teller); err != nil {
-		s.abort(proc)
+	if err := update(s.tel, t.Teller); err != nil {
+		proc.TxnAbort()
 		return err
 	}
-	if err := update(s.brn, s.brnCache, t.Branch); err != nil {
-		s.abort(proc)
+	if err := update(s.brn, t.Branch); err != nil {
+		proc.TxnAbort()
 		return err
 	}
 	s.clock.Advance(s.costs.RecordOp)
 	hf, err := recno.Open(core.NewStore(proc, s.hist))
 	if err != nil {
-		s.abort(proc)
+		proc.TxnAbort()
 		return err
 	}
 	if _, err := hf.Append(HistoryRecord(t.Account, t.Teller, t.Branch, t.Amount, int64(s.clock.Now()))); err != nil {
-		s.abort(proc)
+		proc.TxnAbort()
 		return err
 	}
 	return proc.TxnCommit()

@@ -57,6 +57,13 @@ func TestTraceByteIdentical(t *testing.T) {
 				if len(snap.Attribution) == 0 || snap.Metrics == nil {
 					t.Fatalf("snapshot missing attribution or metrics: %+v", snap)
 				}
+				// Every TPC-B record update reads then writes its page, so
+				// concurrent user-level clients upgrade read locks.
+				if kind == "user-lfs" {
+					if up := rig.LockStats().Upgrades; snap.Locks == nil || snap.Locks.Upgrades == 0 || snap.Locks.Upgrades != up {
+						t.Fatalf("snapshot lock upgrades = %+v, lock manager reports %d", snap.Locks, up)
+					}
+				}
 				if err := snap.WriteJSON(&mb); err != nil {
 					t.Fatalf("WriteJSON: %v", err)
 				}

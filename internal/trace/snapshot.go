@@ -140,6 +140,7 @@ type WALSection struct {
 // LockSection mirrors lock.Stats.
 type LockSection struct {
 	Acquired       int64         `json:"acquired"`
+	Upgrades       int64         `json:"upgrades"` // read→write conversions
 	Waited         int64         `json:"waited"`
 	BlockedTime    time.Duration `json:"blocked"`
 	Deadlocks      int64         `json:"deadlocks"`
@@ -267,8 +268,8 @@ func (s *Snapshot) Render() string {
 			s.Txns, sc.WriterElapsed.Seconds(), sc.WriterTPS)
 	}
 	if l := s.Locks; l != nil {
-		fmt.Fprintf(&b, "locks: %d acquired, %d waits (%v blocked), %d deadlocks (%d aborts)\n",
-			l.Acquired, l.Waited, l.BlockedTime, l.Deadlocks, l.DeadlockAborts)
+		fmt.Fprintf(&b, "locks: %d acquired, %d upgrades, %d waits (%v blocked), %d deadlocks (%d aborts)\n",
+			l.Acquired, l.Upgrades, l.Waited, l.BlockedTime, l.Deadlocks, l.DeadlockAborts)
 	}
 	if w := s.WAL; w != nil {
 		fmt.Fprintf(&b, "wal: %d records, %d bytes, %d forces, %d group-absorbed commits\n",
