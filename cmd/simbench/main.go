@@ -8,7 +8,10 @@
 // system at MPL 64 where commit-wait parking exercises the WaitQueue. The
 // simulated outcome of every scenario is deterministic; only the wall_ns and
 // events_per_sec fields vary with the machine, which is the point — they
-// measure the simulator, not the simulated system.
+// measure the simulator, not the simulated system. The report's provenance
+// block (commit, Go version, GOMAXPROCS, CPU count and model) names the host
+// and code the wall numbers came from; compare them only between reports
+// whose host fields agree.
 //
 // Usage:
 //
@@ -18,10 +21,14 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
+	"runtime"
+	"strings"
 
 	"repro/internal/sim"
 	"repro/internal/tpcb"
@@ -39,14 +46,25 @@ type scenario struct {
 	WallNS       int64   `json:"wall_ns"`
 	Dispatches   int64   `json:"dispatches"`
 	EventsPerSec float64 `json:"events_per_sec"`
+	Deadlocks    int64   `json:"deadlocks"`
+}
+
+// provenance names the code and host a report was measured on.
+type provenance struct {
+	Commit     string `json:"commit"`
+	Go         string `json:"go"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	NumCPU     int    `json:"nproc"`
+	CPU        string `json:"cpu"`
 }
 
 // report is the BENCH_simcore.json document.
 type report struct {
-	Txns      int        `json:"txns"`
-	Scale     float64    `json:"scale"`
-	Reps      int        `json:"reps"`
-	Scenarios []scenario `json:"scenarios"`
+	Provenance provenance `json:"provenance"`
+	Txns       int        `json:"txns"`
+	Scale      float64    `json:"scale"`
+	Reps       int        `json:"reps"`
+	Scenarios  []scenario `json:"scenarios"`
 }
 
 func main() {
@@ -71,7 +89,18 @@ func main() {
 	}
 	cfgs = append(cfgs, cfg{"user-lfs", 64, false})
 
-	rep := report{Txns: tpcb.SimCoreBenchTxns, Scale: tpcb.SimCoreBenchScale, Reps: *reps}
+	rep := report{
+		Provenance: provenance{
+			Commit:     gitCommit(),
+			Go:         runtime.Version(),
+			GOMAXPROCS: runtime.GOMAXPROCS(0),
+			NumCPU:     runtime.NumCPU(),
+			CPU:        cpuModel(),
+		},
+		Txns:  tpcb.SimCoreBenchTxns,
+		Scale: tpcb.SimCoreBenchScale,
+		Reps:  *reps,
+	}
 	for _, c := range cfgs {
 		s, err := measure(c.system, c.mpl, c.traced, *reps)
 		if err != nil {
@@ -123,12 +152,39 @@ func measure(system string, mpl int, traced bool, reps int) (scenario, error) {
 			s.SimulatedNS = res.Elapsed.Nanoseconds()
 			s.WallNS = wall.Nanoseconds()
 			s.Dispatches = res.Dispatches
+			s.Deadlocks = rig.LockStats().Deadlocks
 			if secs := wall.Seconds(); secs > 0 {
 				s.EventsPerSec = float64(res.Dispatches) / secs
 			}
 		}
 	}
 	return s, nil
+}
+
+// gitCommit returns the checked-out commit, or "none" outside a git work
+// tree.
+func gitCommit() string {
+	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return "none"
+	}
+	return strings.TrimSpace(string(out))
+}
+
+// cpuModel reads the first "model name" of /proc/cpuinfo.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
 }
 
 func fatal(err error) {

@@ -345,6 +345,74 @@ func (t *Tree) Get(key []byte) ([]byte, error) {
 	return n.vals[i], nil
 }
 
+// Update rewrites the value stored under key in place: fn receives the
+// value's bytes on the leaf page and may change them but not their length.
+// It is the read-modify-write path. One descent reads the interior pages
+// and searches them where they lie, then reads the leaf (at depth t.height)
+// with write intent, so a locking store write-locks it on first read and
+// the write that follows never upgrades a lock. Nothing is decoded or
+// re-encoded; the page written back equals the one Put writes when it
+// replaces a value with one of the same size. A missing key returns
+// ErrNotFound.
+//
+//simlint:noalloc
+func (t *Tree) Update(key []byte, fn func(val []byte)) error {
+	if t.scratch == nil {
+		//simlint:alloc(one page buffer per tree, reused by every later descent)
+		t.scratch = make([]byte, t.pageSize)
+	}
+	b := t.scratch
+	pageNo := t.root
+	for depth := 1; depth < t.height; depth++ {
+		//simlint:alloc(page store call: locking, buffering and logging are the store's own costs)
+		if err := t.st.ReadPage(pageNo, b); err != nil {
+			return err
+		}
+		if b[0] != pgInternal {
+			return ErrCorrupt
+		}
+		pageNo = interiorChild(b, key)
+	}
+	//simlint:alloc(page store call: locking, buffering and logging are the store's own costs)
+	if err := t.st.ReadPageForUpdate(pageNo, b); err != nil {
+		return err
+	}
+	if b[0] != pgLeaf {
+		return ErrCorrupt
+	}
+	off, vlen, ok := leafValue(b, key)
+	if !ok {
+		return ErrNotFound
+	}
+	fn(b[off : off+vlen])
+	//simlint:alloc(page store call: locking, buffering and logging are the store's own costs)
+	return t.st.WritePage(pageNo, b)
+}
+
+// leafValue finds key among leaf page b's packed entries and returns the
+// offset and length of its value. Entries are in key order, so the scan
+// stops at the first larger key.
+func leafValue(b, key []byte) (off, vlen int, ok bool) {
+	le := binary.LittleEndian
+	nkeys := int(le.Uint16(b[1:]))
+	off = nodeHeader + 8
+	for i := 0; i < nkeys; i++ {
+		klen := int(le.Uint16(b[off:]))
+		vlen = int(le.Uint16(b[off+2:]))
+		off += 4
+		c := bytes.Compare(b[off:off+klen], key)
+		off += klen
+		if c == 0 {
+			return off, vlen, true
+		}
+		if c > 0 {
+			break
+		}
+		off += vlen
+	}
+	return 0, 0, false
+}
+
 // split describes a node split propagating upward.
 type split struct {
 	key   []byte // separator promoted to the parent

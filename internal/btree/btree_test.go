@@ -663,3 +663,96 @@ func TestInteriorLSNMonotonic(t *testing.T) {
 		t.Fatalf("root LSN did not advance: %d -> %d", before, root2.lsn)
 	}
 }
+
+// snapshotPages copies every page of a MemStore.
+func snapshotPages(t *testing.T, st *pagestore.MemStore) [][]byte {
+	t.Helper()
+	n, _ := st.NumPages()
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = make([]byte, st.Size)
+		if err := st.ReadPage(int64(i), out[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return out
+}
+
+// TestUpdateMatchesGetPut: on a multi-level tree with variable-length keys,
+// Update leaves exactly the page bytes Get+Put leaves for a same-size value,
+// so a logging store records the same deltas either way.
+func TestUpdateMatchesGetPut(t *testing.T) {
+	const n = 1500
+	build := func() (*Tree, *pagestore.MemStore) {
+		tr := varTree(t, n)
+		return tr, tr.st.(*pagestore.MemStore)
+	}
+	viaUpdate, stU := build()
+	viaPut, stP := build()
+	for i := 0; i < n; i += 37 {
+		k := varKey(i)
+		if err := viaUpdate.Update(k, func(v []byte) { v[7] ^= 0x5a }); err != nil {
+			t.Fatalf("Update(%q): %v", k, err)
+		}
+		v, err := viaPut.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2 := append([]byte(nil), v...)
+		v2[7] ^= 0x5a
+		if err := viaPut.Put(k, v2); err != nil {
+			t.Fatal(err)
+		}
+		got, err := viaUpdate.Get(k)
+		if err != nil || !bytes.Equal(got, v2) {
+			t.Fatalf("after Update, Get(%q) = %x, %v; want %x", k, got, err, v2)
+		}
+	}
+	pu, pp := snapshotPages(t, stU), snapshotPages(t, stP)
+	if len(pu) != len(pp) {
+		t.Fatalf("page counts %d vs %d", len(pu), len(pp))
+	}
+	for i := range pu {
+		if !bytes.Equal(pu[i], pp[i]) {
+			t.Fatalf("page %d differs between Update and Get+Put", i)
+		}
+	}
+}
+
+func TestUpdateMissingKey(t *testing.T) {
+	tr := varTree(t, 1500)
+	called := false
+	for _, k := range []string{"", "10~", "5!", "9999", "\xff"} {
+		if err := tr.Update([]byte(k), func([]byte) { called = true }); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Update(%q) = %v, want ErrNotFound", k, err)
+		}
+	}
+	if called {
+		t.Fatal("Update called fn for a missing key")
+	}
+}
+
+// TestUpdateAllocs: Update on a 3-level tree allocates nothing, backing its
+// //simlint:noalloc annotation.
+func TestUpdateAllocs(t *testing.T) {
+	tr := newTree(t)
+	for i := 0; i < 2000; i++ {
+		if err := tr.Put(key(i*7919%2000), key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Height() != 3 {
+		t.Fatalf("height %d, want 3", tr.Height())
+	}
+	k := key(1234)
+	if err := tr.Update(k, func(v []byte) { v[0]++ }); err != nil { // first call sizes the scratch page
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := tr.Update(k, func(v []byte) { v[0]++ }); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Update allocates %.1f/op", allocs)
+	}
+}

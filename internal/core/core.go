@@ -193,7 +193,6 @@ type Txn struct {
 	id     uint64
 	proc   *Process
 	pages  map[buffer.BlockID]bool
-	files  map[vfs.FileID]bool
 	status txnStatus
 	start  time.Duration // simulated begin time, for the whole-txn trace span
 	// undo holds byte-range before-images, used only under SubPage
@@ -229,7 +228,6 @@ func (p *Process) TxnBegin() error {
 		id:    m.nextTxn,
 		proc:  p,
 		pages: make(map[buffer.BlockID]bool),
-		files: make(map[vfs.FileID]bool),
 		start: start,
 	}
 	m.stats.Begun++
@@ -244,7 +242,11 @@ func (p *Process) TxnBegin() error {
 // never writes uncommitted pages, so it cannot release early the way the
 // user-level log manager can — which is why a conflicting lock request
 // (lockObject) or the scheduler's stall hook flushes the batch instead of
-// letting requesters queue behind a parked committer.
+// letting requesters queue behind a parked committer. The commit itself
+// flushes at once when a request is already queued on one of its locks:
+// that request conflicted while the transaction was still running, so
+// lockObject could not flush for it, and it would otherwise sleep until
+// the stall hook.
 func (p *Process) TxnCommit() error {
 	if p.txn == nil || p.txn.status != txnRunning {
 		return ErrNoTxn
@@ -256,7 +258,7 @@ func (p *Process) TxnCommit() error {
 	t := p.txn
 	t.status = txnCommitting
 	m.pending = append(m.pending, t)
-	if len(m.pending) >= m.opts.GroupCommit {
+	if len(m.pending) >= m.opts.GroupCommit || m.locks.HasWaiters(lock.TxnID(t.id)) {
 		if err := m.flushPendingLocked(); err != nil {
 			return err
 		}
@@ -308,11 +310,13 @@ func (m *Manager) flushPendingLocked() error {
 	span := m.tracer.Begin("txn", "core.commitFlush")
 	pool := m.fs.Pool()
 	fileSet := make(map[vfs.FileID]bool)
+	pageSet := make(map[buffer.BlockID]bool)
 	pages := 0
 	for _, t := range m.pending {
 		pages += len(t.pages)
-		for f := range t.files {
-			fileSet[f] = true
+		for id := range t.pages {
+			pageSet[id] = true
+			fileSet[id.File] = true
 		}
 	}
 	// With a snapshot pinned, capture the pre-flush disk address of every
@@ -323,7 +327,7 @@ func (m *Manager) flushPendingLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := m.fs.FlushFiles(detsort.Keys(fileSet)); err != nil {
+	if err := m.fs.FlushFiles(detsort.Keys(fileSet), pageSet); err != nil {
 		return err
 	}
 	epoch := m.commitSeq.Add(1)

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -179,6 +180,100 @@ func TestUncommittedLostAtCrash(t *testing.T) {
 	g.ReadAt(got, 0)
 	if !bytes.Equal(got, pat(8192, 1)[:4096]) {
 		t.Fatal("uncommitted data leaked to disk")
+	}
+}
+
+// TestCommitFlushLeavesRunningTxnPages: a commit flush writes the batch's
+// own pages and nothing another transaction still holds. P1's uncommitted
+// page 0 sits in the same file as P2's committed page 1; after a crash
+// page 0 must hold its before-image, or P1's abort could not have undone it.
+func TestCommitFlushLeavesRunningTxnPages(t *testing.T) {
+	r := newRig(t, Options{GroupCommit: 1})
+	before := pat(8192, 1)
+	f := r.mkProtected(t, "/db", before)
+	p1 := r.m.NewProcess()
+	if err := p1.TxnBegin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p1.Write(f, pat(4096, 7), 0); err != nil {
+		t.Fatal(err)
+	}
+	p2 := r.m.NewProcess()
+	if err := p2.TxnBegin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p2.Write(f, pat(4096, 9), 4096); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.TxnCommit(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash with P1 still running.
+	fs2, err := lfs.Mount(r.dev, r.clk, lfs.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := fs2.Open("/db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 8192)
+	if _, err := g.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:4096], before[:4096]) {
+		t.Fatal("uncommitted page reached disk with another transaction's commit")
+	}
+	if !bytes.Equal(got[4096:], pat(4096, 9)) {
+		t.Fatal("committed page lost in crash")
+	}
+}
+
+// TestCommitFlushesForQueuedWaiter: a request that queued on a lock while
+// its holder was still running is served by the holder's commit, not left
+// asleep behind a pending group commit (§4.4's conflicting-request flush,
+// arriving before the commit instead of after it).
+func TestCommitFlushesForQueuedWaiter(t *testing.T) {
+	r := newRig(t, Options{GroupCommit: 10})
+	f := r.mkProtected(t, "/db", pat(8192, 1))
+	p1 := r.m.NewProcess()
+	if err := p1.TxnBegin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p1.Write(f, pat(100, 2), 0); err != nil {
+		t.Fatal(err)
+	}
+	holder := lock.TxnID(p1.txn.ID())
+	p2 := r.m.NewProcess()
+	if err := p2.TxnBegin(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := p2.Write(f, pat(100, 3), 0)
+		done <- err
+	}()
+	for !r.m.locks.HasWaiters(holder) {
+		runtime.Gosched()
+	}
+	if err := p1.TxnCommit(); err != nil {
+		t.Fatal(err)
+	}
+	flushed := r.m.Stats().CommitFlush
+	if flushed == 0 {
+		// Release the waiter before failing so the goroutine ends.
+		if err := r.m.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if flushed != 1 {
+		t.Fatalf("commit with a queued waiter flushed %d times, want 1", flushed)
+	}
+	if err := p2.TxnCommit(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -125,6 +125,12 @@ func (m *Manager) isPendingLocked(txnID uint64) bool {
 // cannot be granted. For unprotected files the only cost over a plain read
 // is the lock-necessity check.
 func (p *Process) Read(f *File, buf []byte, off int64) (int, error) {
+	return p.read(f, buf, off, lock.Read)
+}
+
+// read is Read with the lock mode as a parameter: Store.ReadPageForUpdate
+// reads with lock.Write, so the page's later write is never an upgrade.
+func (p *Process) read(f *File, buf []byte, off int64, mode lock.Mode) (int, error) {
 	m := p.m
 	m.clock.Advance(m.costs.Syscall)
 	if !f.lf.TxnProtected() {
@@ -132,14 +138,14 @@ func (p *Process) Read(f *File, buf []byte, off int64) (int, error) {
 		return f.lf.ReadAt(buf, off)
 	}
 	if p.InTxn() {
-		if err := p.lockSpan(f, off, len(buf), lock.Read); err != nil {
+		if err := p.lockSpan(f, off, len(buf), mode); err != nil {
 			return 0, err
 		}
 		return f.lf.ReadAt(buf, off)
 	}
 	// Degree-1 access outside a transaction: per-call locking.
-	tmp := &Process{m: m, txn: &Txn{id: m.degreeOneID(), pages: map[buffer.BlockID]bool{}, files: map[vfs.FileID]bool{}}}
-	if err := tmp.lockSpan(f, off, len(buf), lock.Read); err != nil {
+	tmp := &Process{m: m, txn: &Txn{id: m.degreeOneID(), pages: map[buffer.BlockID]bool{}}}
+	if err := tmp.lockSpan(f, off, len(buf), mode); err != nil {
 		return 0, err
 	}
 	n, err := f.lf.ReadAt(buf, off)
@@ -201,13 +207,12 @@ func (p *Process) Write(f *File, data []byte, off int64) (int, error) {
 					}
 				}
 			}
-			t.files[f.id] = true
 			m.mu.Unlock()
 		}
 		return n, nil
 	}
 	// Degree-1 write outside a transaction: lock, write through, unlock.
-	tmp := &Process{m: m, txn: &Txn{id: m.degreeOneID(), pages: map[buffer.BlockID]bool{}, files: map[vfs.FileID]bool{}}}
+	tmp := &Process{m: m, txn: &Txn{id: m.degreeOneID(), pages: map[buffer.BlockID]bool{}}}
 	if err := tmp.lockSpan(f, off, len(data), lock.Write); err != nil {
 		return 0, err
 	}
@@ -253,6 +258,13 @@ func (s *Store) NumPages() (int64, error) {
 // ReadPage implements pagestore.Store.
 func (s *Store) ReadPage(n int64, p []byte) error {
 	_, err := s.p.Read(s.f, p, n*int64(s.PageSize()))
+	return err
+}
+
+// ReadPageForUpdate implements pagestore.Store: the read takes the page's
+// write lock.
+func (s *Store) ReadPageForUpdate(n int64, p []byte) error {
+	_, err := s.p.read(s.f, p, n*int64(s.PageSize()), lock.Write)
 	return err
 }
 

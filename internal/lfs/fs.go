@@ -426,7 +426,7 @@ func (fs *FS) maybeFlushOrphansLocked() error {
 		return nil
 	}
 	fs.orphanPressure = false
-	return fs.flushLocked(nil, false, false)
+	return fs.flushLocked(nil, false, nil)
 }
 
 // decPackRef drops one reference to the inode pack block at addr, marking
@@ -503,7 +503,7 @@ func (fs *FS) Sync() error {
 func (fs *FS) Flush() error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.flushLocked(nil, false, false)
+	return fs.flushLocked(nil, false, nil)
 }
 
 // FlushFile forces one file's dirty (unheld) blocks and meta-data to the
@@ -512,17 +512,19 @@ func (fs *FS) Flush() error {
 func (fs *FS) FlushFile(ino vfs.FileID) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.flushLocked(map[Ino]bool{Ino(ino): true}, true, false)
+	return fs.flushLocked(map[Ino]bool{Ino(ino): true}, true, nil)
 }
 
 // FlushFiles forces several files in a single partial-segment stream (one
-// group-committed unit).
-func (fs *FS) FlushFiles(inos []vfs.FileID) error {
+// group-committed unit). held is the unit's own transaction-held pages: they
+// are written along with the files' unheld dirty blocks, while pages other
+// transactions still hold stay in memory.
+func (fs *FS) FlushFiles(inos []vfs.FileID, held map[buffer.BlockID]bool) error {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	set := make(map[Ino]bool, len(inos))
 	for _, i := range inos {
 		set[Ino(i)] = true
 	}
-	return fs.flushLocked(set, true, true)
+	return fs.flushLocked(set, true, held)
 }

@@ -22,15 +22,17 @@ type dataItem struct {
 // summary records every data block's (inode, logical block) pair, so
 // roll-forward can reconstruct the pointers after a crash — the same trick
 // that lets real LFS implementations keep fsync cheap. Full flushes
-// (deferPtr false) write the pointer blocks out. Caller holds fs.mu.
-func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) error {
+// (deferPtr false) write the pointer blocks out. held names the held pages
+// a group commit may write (see gatherLocked); nil for every other flush.
+// Caller holds fs.mu.
+func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, held map[buffer.BlockID]bool) error {
 	if !fs.cleaning && fs.free < int64(fs.opts.CleanThreshold) {
 		if err := fs.cleanLocked(); err != nil {
 			return err
 		}
 	}
 
-	items, files, err := fs.gatherLocked(only, deferPtr, includeHeld)
+	items, files, err := fs.gatherLocked(only, deferPtr, held)
 	if err != nil {
 		return err
 	}
@@ -59,7 +61,7 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) er
 			if fs.free != lastCleanFree {
 				lastCleanFree = -1 // progress: cleaning may be retried
 			}
-			items, files, err = fs.gatherLocked(only, deferPtr, includeHeld)
+			items, files, err = fs.gatherLocked(only, deferPtr, held)
 			if err != nil {
 				return err
 			}
@@ -94,12 +96,14 @@ func (fs *FS) flushLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) er
 }
 
 // gatherLocked collects the dirty data blocks (pool + orphans) and the set
-// of files whose meta-data needs rewriting. includeHeld is the group-commit
-// path: the committing transactions' pages are still on hold (the hold is
+// of files whose meta-data needs rewriting. held is the group-commit path:
+// the committing transactions' pages, which are still on hold (the hold is
 // released only after the log write succeeds, so the cleaner can never write
-// uncommitted contents on the commit's behalf), and this flush is the one
-// place they may — must — be written.
-func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) ([]dataItem, []Ino, error) {
+// uncommitted contents on the commit's behalf). This flush is the one place
+// they may — must — be written. Only those pages are: other held pages of
+// the same files belong to transactions still running, whose uncommitted
+// bytes must not reach the log, or their abort could not undo them.
+func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, held map[buffer.BlockID]bool) ([]dataItem, []Ino, error) {
 	want := func(ino Ino) bool { return only == nil || only[ino] }
 
 	var items []dataItem
@@ -110,14 +114,10 @@ func (fs *FS) gatherLocked(only map[Ino]bool, deferPtr bool, includeHeld bool) (
 		}
 		items = append(items, dataItem{id: b.ID, buf: b, data: b.Data})
 	}
-	if includeHeld && only != nil {
-		for _, ino := range detsort.Keys(only) {
-			for _, b := range fs.pool.HeldFile(buffer.FileID(ino)) {
-				if b.Dirty() {
-					items = append(items, dataItem{id: b.ID, buf: b, data: b.Data})
-					heldIDs[b.ID] = true
-				}
-			}
+	for _, id := range detsort.KeysFunc(held, buffer.CompareBlockID) {
+		if b := fs.pool.Lookup(id); b != nil && b.Held() && b.Dirty() && want(Ino(id.File)) {
+			items = append(items, dataItem{id: id, buf: b, data: b.Data})
+			heldIDs[id] = true
 		}
 	}
 	//simlint:ordered items are fully sorted by (file, block) below; orphan deletes are keyed by the loop variable

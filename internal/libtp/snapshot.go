@@ -143,8 +143,9 @@ func (s *snapStore) ReadPage(n int64, p []byte) error {
 	return nil
 }
 
-func (s *snapStore) WritePage(int64, []byte) error { return ErrSnapshotReadOnly }
-func (s *snapStore) AllocPage() (int64, error)     { return 0, ErrSnapshotReadOnly }
+func (s *snapStore) ReadPageForUpdate(int64, []byte) error { return ErrSnapshotReadOnly }
+func (s *snapStore) WritePage(int64, []byte) error         { return ErrSnapshotReadOnly }
+func (s *snapStore) AllocPage() (int64, error)             { return 0, ErrSnapshotReadOnly }
 
 // Sync is a no-op: a read-only transaction has nothing to make durable.
 func (s *snapStore) Sync() error { return nil }

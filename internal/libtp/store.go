@@ -15,6 +15,7 @@ import (
 //
 //   - ReadPage: acquire a read lock on (db, page), then serve the page from
 //     the user-level buffer pool (or fault it in from the file).
+//     ReadPageForUpdate does the same under a write lock (write intent).
 //   - WritePage: acquire a write lock, log the changed byte range
 //     (before/after images), update the cached page, remember the
 //     before-image for in-memory abort.
@@ -59,11 +60,17 @@ func (s *txnStore) lock(page int64, mode lock.Mode) error {
 	return err
 }
 
-func (s *txnStore) ReadPage(n int64, p []byte) error {
+func (s *txnStore) ReadPage(n int64, p []byte) error { return s.read(n, p, lock.Read) }
+
+// ReadPageForUpdate reads page n under its write lock, so the WritePage that
+// follows in the same transaction is a re-grant, never an upgrade.
+func (s *txnStore) ReadPageForUpdate(n int64, p []byte) error { return s.read(n, p, lock.Write) }
+
+func (s *txnStore) read(n int64, p []byte, mode lock.Mode) error {
 	if s.t.done {
 		return ErrTxnDone
 	}
-	if err := s.lock(n, lock.Read); err != nil {
+	if err := s.lock(n, mode); err != nil {
 		return err
 	}
 	e := s.t.env

@@ -275,6 +275,19 @@ func (m *Manager) EachHolder(obj Object, fn func(TxnID) bool) {
 	}
 }
 
+// HasWaiters reports whether any request is queued on a lock txn holds.
+func (m *Manager) HasWaiters(txn TxnID) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	//simlint:ordered pure existence predicate: any iteration order yields the same answer
+	for obj := range m.byTxn[txn] {
+		if h := m.table[obj]; h != nil && h.waiters > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // conflicts reports the set of other holders blocking txn's request, in
 // ascending transaction order. The order matters: it fixes the waits-for
 // edges and therefore which transaction a deadlock search reaches first, so

@@ -28,6 +28,12 @@ type Store interface {
 	NumPages() (int64, error)
 	// ReadPage fills p (one page long) with page n.
 	ReadPage(n int64, p []byte) error
+	// ReadPageForUpdate is ReadPage with write intent: the caller will
+	// write page n back in the same transaction, so a locking store takes
+	// the page's write lock now rather than a read lock it would later
+	// have to upgrade (Berkeley DB's DB_RMW). Stores without locks read
+	// as ReadPage does.
+	ReadPageForUpdate(n int64, p []byte) error
 	// WritePage stores p as page n. n must be < NumPages().
 	WritePage(n int64, p []byte) error
 	// AllocPage appends a zeroed page and returns its number.
@@ -75,6 +81,9 @@ func (s *FileStore) ReadPage(n int64, p []byte) error {
 	_, err = s.F.ReadAt(p, n*int64(s.Size))
 	return err
 }
+
+// ReadPageForUpdate implements Store; a plain file has no locks.
+func (s *FileStore) ReadPageForUpdate(n int64, p []byte) error { return s.ReadPage(n, p) }
 
 // WritePage implements Store.
 func (s *FileStore) WritePage(n int64, p []byte) error {
@@ -131,6 +140,9 @@ func (s *MemStore) ReadPage(n int64, p []byte) error {
 	copy(p, s.pages[n])
 	return nil
 }
+
+// ReadPageForUpdate implements Store.
+func (s *MemStore) ReadPageForUpdate(n int64, p []byte) error { return s.ReadPage(n, p) }
 
 // WritePage implements Store.
 func (s *MemStore) WritePage(n int64, p []byte) error {

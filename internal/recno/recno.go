@@ -59,10 +59,18 @@ func Create(st pagestore.Store, recSize int) (*File, error) {
 }
 
 // Open loads an existing record file.
-func Open(st pagestore.Store) (*File, error) {
+func Open(st pagestore.Store) (*File, error) { return open(st, st.ReadPage) }
+
+// OpenForAppend loads an existing record file that the caller will Append
+// to in the same transaction: the meta page, which every Append rewrites,
+// is read with write intent, so a locking store write-locks it now instead
+// of upgrading a read lock later.
+func OpenForAppend(st pagestore.Store) (*File, error) { return open(st, st.ReadPageForUpdate) }
+
+func open(st pagestore.Store, readMeta func(int64, []byte) error) (*File, error) {
 	f := &File{st: st, pageSize: st.PageSize()}
 	b := make([]byte, f.pageSize)
-	if err := st.ReadPage(0, b); err != nil {
+	if err := readMeta(0, b); err != nil {
 		return nil, err
 	}
 	le := binary.LittleEndian
@@ -141,7 +149,8 @@ func (f *File) Append(rec []byte) (int64, error) {
 	}
 	b := make([]byte, f.pageSize)
 	if off > 0 { // partially filled page: preserve earlier records
-		if err := f.st.ReadPage(page, b); err != nil {
+		// Read with write intent: the page is rewritten just below.
+		if err := f.st.ReadPageForUpdate(page, b); err != nil {
 			return 0, err
 		}
 	}

@@ -1,11 +1,13 @@
 package tpcb
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/lock"
+	"repro/internal/vfs"
 )
 
 // mplKinds are the three measured configurations of Figure 4.
@@ -214,21 +216,74 @@ func TestMPLConsistency(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunMPL: %v", err)
 			}
-			// Reconstruct the union of the deterministic client streams.
-			var all []Txn
-			for c := 0; c < mpl; c++ {
-				gen := NewClientGenerator(smallCfg(), c)
-				quota := txns / mpl
-				if c < txns%mpl {
-					quota++
-				}
-				for i := 0; i < quota; i++ {
-					all = append(all, gen.Next())
-				}
-			}
-			checkConsistency(t, rig, all)
+			checkConsistency(t, rig, clientStreams(smallCfg(), txns, mpl))
 			if res.Txns != txns {
 				t.Fatalf("res.Txns = %d", res.Txns)
+			}
+		})
+	}
+}
+
+// clientStreams returns the union of the deterministic client streams a
+// RunMPL of txns transactions at the given MPL executes.
+func clientStreams(cfg Config, txns, mpl int) []Txn {
+	var all []Txn
+	for c := 0; c < mpl; c++ {
+		gen := NewClientGenerator(cfg, c)
+		quota := txns / mpl
+		if c < txns%mpl {
+			quota++
+		}
+		for i := 0; i < quota; i++ {
+			all = append(all, gen.Next())
+		}
+	}
+	return all
+}
+
+// TestMPLWriteIntentNoUpgrades: TPC-B reads every page it updates with
+// write intent, so at MPL 16 no lock is ever upgraded and no request
+// deadlocks, on every system and on a partitioned rig whose transactions
+// span shards. The final state must match the committed streams.
+func TestMPLWriteIntentNoUpgrades(t *testing.T) {
+	const txns, mpl = 400, 16
+	cfg := smallCfg()
+	for _, tc := range []struct {
+		kind    string
+		devices int
+	}{{"user-lfs", 1}, {"user-ffs", 1}, {"kernel-lfs", 1}, {"user-lfs", 3}} {
+		t.Run(fmt.Sprintf("%s/%ddev", tc.kind, tc.devices), func(t *testing.T) {
+			opts := RigOptions{Kind: tc.kind, Config: cfg, ExpectedTxns: txns, GroupCommit: 8}
+			if tc.devices > 1 {
+				opts.Devices, opts.Layout = tc.devices, "partition"
+			}
+			rig, err := BuildRig(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rig.Clock.SetStrict(true)
+			res, err := rig.RunMPL(cfg, txns, mpl)
+			if err != nil {
+				t.Fatalf("RunMPL: %v", err)
+			}
+			if ls := rig.LockStats(); ls.Upgrades != 0 || ls.Deadlocks != 0 || res.Retries != 0 {
+				t.Fatalf("upgrades %d, deadlocks %d, retries %d; want all 0", ls.Upgrades, ls.Deadlocks, res.Retries)
+			}
+			if ls := rig.LockStats(); ls.Waited == 0 {
+				t.Fatal("no lock waits: the run does not contend")
+			}
+			all := clientStreams(cfg, txns, mpl)
+			if tc.devices == 1 {
+				err = VerifyState(rig.FS, all, nil)
+			} else {
+				fss := make([]vfs.FileSystem, len(rig.Shards))
+				for i, env := range rig.Shards {
+					fss[i] = env.FS()
+				}
+				err = VerifyShardedState(fss, rig.Part, all, nil)
+			}
+			if err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

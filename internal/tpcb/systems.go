@@ -60,6 +60,19 @@ func countAccounts(st pagestore.Store) (int64, error) {
 	return n, c.Err()
 }
 
+// addBalance adds amount to the balance of record id in the B-tree on st,
+// charging one record-layer operation. The update is a write-intent
+// read-modify-write (btree.Update): the leaf is write-locked on its first
+// read and rewritten in place, so no page lock is ever upgraded.
+func addBalance(st pagestore.Store, clock *sim.Clock, costs sim.CostModel, id, amount int64) error {
+	clock.Advance(costs.RecordOp)
+	tr, err := btree.Open(st)
+	if err != nil {
+		return err
+	}
+	return tr.Update(Key(id), func(rec []byte) { SetBalance(rec, Balance(rec)+amount) })
+}
+
 // --- user-level system (LIBTP, Figure 2) ---
 
 // shard is one partition of the user-level system: a transaction
@@ -199,22 +212,6 @@ func (l *shardTxns) abort() {
 	}
 }
 
-// update adds amount to one balance record on shard sh.
-func (s *UserSystem) update(l *shardTxns, sh int, db *libtp.DB, id, amount int64) error {
-	s.clock.Advance(s.costs.RecordOp)
-	tr, err := btree.Open(l.begin(s, sh).Store(db))
-	if err != nil {
-		return err
-	}
-	rec, err := tr.Get(Key(id))
-	if err != nil {
-		return err
-	}
-	rec2 := append([]byte(nil), rec...)
-	SetBalance(rec2, Balance(rec2)+amount)
-	return tr.Put(Key(id), rec2)
-}
-
 // Run implements System: the classic read-update of account, teller, and
 // branch plus a history append, each routed to its owning shard, then a
 // commit — local when one shard saw all the work, two-phase otherwise.
@@ -227,22 +224,22 @@ func (s *UserSystem) Run(t Txn) error {
 	// transaction ids advance deterministically.
 	var l shardTxns
 	coord := l.begin(s, as)
-	if err := s.update(&l, as, s.shards[as].acc, t.Account, t.Amount); err != nil {
+	if err := addBalance(l.begin(s, as).Store(s.shards[as].acc), s.clock, s.costs, t.Account, t.Amount); err != nil {
 		l.abort()
 		return err
 	}
-	if err := s.update(&l, ts, s.shards[ts].tel, t.Teller, t.Amount); err != nil {
+	if err := addBalance(l.begin(s, ts).Store(s.shards[ts].tel), s.clock, s.costs, t.Teller, t.Amount); err != nil {
 		l.abort()
 		return err
 	}
-	if err := s.update(&l, bs, s.shards[bs].brn, t.Branch, t.Amount); err != nil {
+	if err := addBalance(l.begin(s, bs).Store(s.shards[bs].brn), s.clock, s.costs, t.Branch, t.Amount); err != nil {
 		l.abort()
 		return err
 	}
 	// The history record follows the account: the coordinator shard always
 	// carries the transaction's one durable history row.
 	s.clock.Advance(s.costs.RecordOp)
-	hf, err := recno.Open(coord.Store(s.shards[as].hst))
+	hf, err := recno.OpenForAppend(coord.Store(s.shards[as].hst))
 	if err != nil {
 		l.abort()
 		return err
@@ -418,34 +415,20 @@ func (s *EmbeddedSystem) runWith(proc *core.Process, t Txn) error {
 	if err := proc.TxnBegin(); err != nil {
 		return err
 	}
-	update := func(f *core.File, id int64) error {
-		s.clock.Advance(s.costs.RecordOp)
-		tr, err := btree.Open(core.NewStore(proc, f))
-		if err != nil {
-			return err
-		}
-		rec, err := tr.Get(Key(id))
-		if err != nil {
-			return err
-		}
-		rec2 := append([]byte(nil), rec...)
-		SetBalance(rec2, Balance(rec2)+t.Amount)
-		return tr.Put(Key(id), rec2)
-	}
-	if err := update(s.acc, t.Account); err != nil {
+	if err := addBalance(core.NewStore(proc, s.acc), s.clock, s.costs, t.Account, t.Amount); err != nil {
 		proc.TxnAbort()
 		return err
 	}
-	if err := update(s.tel, t.Teller); err != nil {
+	if err := addBalance(core.NewStore(proc, s.tel), s.clock, s.costs, t.Teller, t.Amount); err != nil {
 		proc.TxnAbort()
 		return err
 	}
-	if err := update(s.brn, t.Branch); err != nil {
+	if err := addBalance(core.NewStore(proc, s.brn), s.clock, s.costs, t.Branch, t.Amount); err != nil {
 		proc.TxnAbort()
 		return err
 	}
 	s.clock.Advance(s.costs.RecordOp)
-	hf, err := recno.Open(core.NewStore(proc, s.hist))
+	hf, err := recno.OpenForAppend(core.NewStore(proc, s.hist))
 	if err != nil {
 		proc.TxnAbort()
 		return err

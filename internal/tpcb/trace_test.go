@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"testing"
+
+	"repro/internal/btree"
 )
 
 // buildTraced builds the cleaner-stress rig of TestMPLCleanerDeterminism
@@ -57,12 +59,12 @@ func TestTraceByteIdentical(t *testing.T) {
 				if len(snap.Attribution) == 0 || snap.Metrics == nil {
 					t.Fatalf("snapshot missing attribution or metrics: %+v", snap)
 				}
-				// Every TPC-B record update reads then writes its page, so
-				// concurrent user-level clients upgrade read locks.
-				if kind == "user-lfs" {
-					if up := rig.LockStats().Upgrades; snap.Locks == nil || snap.Locks.Upgrades == 0 || snap.Locks.Upgrades != up {
-						t.Fatalf("snapshot lock upgrades = %+v, lock manager reports %d", snap.Locks, up)
-					}
+				// TPC-B reads every page it updates with write intent, so no
+				// lock is ever upgraded; the snapshot reports the lock
+				// manager's count, zero. TestSnapshotReportsUpgrades covers
+				// the wiring with a nonzero count.
+				if up := rig.LockStats().Upgrades; snap.Locks == nil || snap.Locks.Upgrades != up || up != 0 {
+					t.Fatalf("snapshot lock upgrades = %+v, lock manager reports %d, want 0", snap.Locks, up)
 				}
 				if err := snap.WriteJSON(&mb); err != nil {
 					t.Fatalf("WriteJSON: %v", err)
@@ -110,5 +112,40 @@ func TestTraceNeutrality(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSnapshotReportsUpgrades: a lock upgrade reaches the metrics snapshot.
+// One transaction reads an account with Get (read lock) and writes it back
+// with Put, which upgrades that lock.
+func TestSnapshotReportsUpgrades(t *testing.T) {
+	rig, err := BuildRig(RigOptions{Kind: "user-lfs", Config: smallCfg(), ExpectedTxns: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := rig.Env.OpenDB(AccountPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx := rig.Env.Begin()
+	tr, err := btree.Open(tx.Store(db))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := tr.Get(Key(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec = append([]byte(nil), rec...)
+	SetBalance(rec, Balance(rec)+1)
+	if err := tr.Put(Key(0), rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	snap := CollectSnapshot(rig, Result{}, nil)
+	if snap.Locks == nil || snap.Locks.Upgrades != 1 || rig.LockStats().Upgrades != 1 {
+		t.Fatalf("snapshot lock upgrades = %+v, lock manager reports %d, want 1", snap.Locks, rig.LockStats().Upgrades)
 	}
 }
